@@ -250,11 +250,11 @@ void half_separation(const PointSet& centroids, double* s_half) {
 /// (assigned_distance_batch — bit-identical to distance_squared). Phase 2
 /// applies the skip test against z = max(decayed Hamerly bound, assigned
 /// centroid's half-separation): d_own < z (proven in shaved squared space)
-/// means the assigned centroid is *strictly* closest — nearest2_of would
-/// pick the same index and compute the same squared distance — so the
+/// means the assigned centroid is *strictly* closest — a nearest-two scan
+/// would pick the same index and compute the same squared distance — so the
 /// k-centroid rescan is skipped; survivors are collected into an arena index
 /// span. Phase 3 rescans only the survivors with the batched nearest2
-/// kernel (bit-identical to nearest2_of) and scatters assignment and bounds
+/// kernel (bit-identical to a scalar scan) and scatters assignment and bounds
 /// back. Every per-point result is a pure function of the point, so chunk
 /// boundaries (thread count) cannot change any output, and best_dist_sq[i]
 /// always holds the exact squared distance to the assigned centroid — the

@@ -134,8 +134,6 @@ __attribute__((target("avx2"))) inline std::size_t nearest8_avx2(const double* t
   return static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(eq)));
 }
 
-inline const bool kHasAvx2 = __builtin_cpu_supports("avx2");
-
 #endif  // defined(__x86_64__)
 
 /// Debug mirror of the MicroCluster moments_consistent check, over raw rows.
@@ -162,6 +160,7 @@ class MomentStore {
 
   std::size_t size() const { return counts_.size(); }
   bool empty() const { return counts_.empty(); }
+  bool avx2() const { return avx2_; }
   std::size_t dim() const { return sums_.dim(); }
 
   std::uint64_t count(std::size_t i) const { return counts_[i]; }
@@ -273,8 +272,8 @@ class MomentStore {
 
   /// Index of the centroid nearest to `coords` plus its squared distance —
   /// the scan inside try_absorb, exposed so tests can compare it against
-  /// PointSet::nearest_of directly. Bit-identical to that scan: on AVX2
-  /// hardware it runs one micro-cluster per SIMD lane over the transposed
+  /// PointSet::nearest_of directly. Bit-identical to that scan: with avx2()
+  /// on it runs one micro-cluster per SIMD lane over the transposed
   /// centroid shadow (each lane executes the exact per-dimension subtract /
   /// multiply / accumulate sequence of the scalar kernel, and the argmin
   /// over the finished distances is the same strict-`<` first-winner loop),
@@ -282,7 +281,7 @@ class MomentStore {
   std::size_t nearest_centroid(const double* coords, double* dist_sq) const {
 #if defined(__x86_64__)
     const std::size_t n = size();
-    if (detail::kHasAvx2 && n >= 4 && n <= 8) {
+    if (avx2_ && n >= 4 && n <= 8) {
       // Typical summarizer budgets fit one lane pair: the whole scan —
       // distances and argmin — stays in registers.
       double best_dist = 0.0;
@@ -301,7 +300,7 @@ class MomentStore {
       }
       return centroids_.nearest_of(coords, dist_sq);
     }
-    if (detail::kHasAvx2 && n > 8 && n <= detail::kMaxSimdScanRows) {
+    if (avx2_ && n > 8 && n <= detail::kMaxSimdScanRows) {
       double dists[detail::kMaxSimdScanRows];
       detail::distances_avx2(centroids_t_.data(), t_stride_, n, dim(), coords, dists);
       // The same strict-`<` first-winner argmin as PointSet::nearest_of,
@@ -333,14 +332,14 @@ class MomentStore {
 
  private:
   /// MicroCluster::absorb on the flat rows — the shared tail of both
-  /// try_absorb accept paths. On AVX2 hardware the moment updates and the
+  /// try_absorb accept paths. With avx2() on, the moment updates and the
   /// centroid refresh run fused, four dimensions per lane group; every lane
   /// op (vaddpd / vmulpd / vdivpd) is the correctly-rounded IEEE operation
   /// the scalar loop performs on that component, so the stored moments are
   /// bit-identical either way.
   void absorb_into(std::size_t i, const double* coords, double weight) {
 #if defined(__x86_64__)
-    if (detail::kHasAvx2) {
+    if (avx2_) {
       absorb_into_avx2(i, coords, weight);
       return;
     }
@@ -439,6 +438,8 @@ class MomentStore {
 
   double min_absorb_radius_;
   double radius_factor_;
+  /// AVX2 kernels on or off: the one SIMD switch, read once per store.
+  bool avx2_ = simd::active_level() >= simd::Level::kAvx2;
   std::vector<std::uint64_t> counts_;
   std::vector<double> weights_;
   PointSet sums_;

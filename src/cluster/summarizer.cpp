@@ -44,7 +44,7 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
   }
   GEORED_ENSURE(dim == store_.dim(), "dimension mismatch in add");
 #if defined(__x86_64__)
-  if (detail::kHasAvx2) {
+  if (store_.avx2()) {
     ingest_batch_avx2(coords, weights, i);
     return;
   }

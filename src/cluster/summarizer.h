@@ -111,7 +111,8 @@ class MicroClusterSummarizer {
   /// caller, so dispatching per access would pay two opaque calls (nearest
   /// scan + absorb tail) per row; hoisting the target attribute to the
   /// whole batch loop lets the fused kernel inline flat. Same operations,
-  /// same results — the equivalence suites cover this path on AVX2 hosts.
+  /// same results — the equivalence suites pin this path against the
+  /// scalar loop (GEORED_SIMD=scalar selects the latter).
   __attribute__((target("avx2"))) void ingest_batch_avx2(const PointSet& coords,
                                                          std::span<const double> weights,
                                                          std::size_t begin);

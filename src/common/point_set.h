@@ -144,35 +144,6 @@ class PointSet {
     return nearest_of(query.values().data(), best_dist_sq);
   }
 
-  /// Like nearest_of, additionally reporting the second-best squared
-  /// distance (infinity when size() == 1) — the bound the accelerated
-  /// k-means maintains. Best-index tracking is the identical strict-`<`
-  /// first-winner scan as nearest_of, so the returned index and
-  /// `best_dist_sq` match it bit for bit.
-  std::size_t nearest2_of(const double* query, double* best_dist_sq,
-                          double* second_dist_sq) const {
-    GEORED_ENSURE(!empty(), "nearest2_of on an empty PointSet");
-    std::size_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    double second_dist = std::numeric_limits<double>::infinity();
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dist = distance_squared(i, query);
-      // Branchless form of: if dist < best, demote best to second and take
-      // the row; else if dist < second, it becomes the runner-up. The
-      // comparisons are the same strict `<` as the branchy original (NaN
-      // distances change nothing), only the selects are unconditional.
-      const bool better = dist < best_dist;
-      const bool runner_up = dist < second_dist;
-      second_dist = better ? best_dist : (runner_up ? dist : second_dist);
-      best_dist = better ? dist : best_dist;
-      best = better ? i : best;
-    }
-    if (best_dist_sq != nullptr) *best_dist_sq = best_dist;
-    if (second_dist_sq != nullptr) *second_dist_sq = second_dist;
-    return best;
-  }
-
   /// Fills out[i] with the Euclidean distance from `query` to row i
   /// (`out` must hold size() doubles).
   void distance_row(const double* query, double* out) const;

@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -48,7 +50,7 @@ std::size_t nearest_tail(const double* data, std::size_t n, std::size_t dim,
 
 /// Scalar form of nearest2_batch, shared as the kScalar backend, the
 /// sub-block tail of the vector backends, and the wide-dim fallback. The
-/// inner scan is PointSet::nearest2_of verbatim (branchless strict-`<`
+/// inner scan is the scalar nearest-two loop (branchless strict-`<`
 /// selects in ascending centroid order).
 void nearest2_batch_tail(const double* points, std::size_t dim, const std::size_t* indices,
                          std::size_t count, const double* centroids, std::size_t k,
@@ -566,9 +568,13 @@ Level parse_level_override(Level detected) {
     requested = Level::kAvx2;
   } else if (std::strcmp(env, "avx512") == 0) {
     requested = Level::kAvx512;
+  } else {
+    // A typo must not silently run (and stamp) the detected level.
+    throw std::invalid_argument(
+        std::string("GEORED_SIMD must be scalar, avx2 or avx512, got '") + env + "'");
   }
-  // Unknown values keep the detected level; a request above it clamps down
-  // (the hardware decides what can run, the variable can only forbid).
+  // A request above the detected level clamps down (the hardware decides
+  // what can run, the variable can only forbid).
   return requested < detected ? requested : detected;
 }
 

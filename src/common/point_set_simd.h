@@ -43,10 +43,11 @@ enum class Level { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Highest level the running CPU supports (cached cpuid probe).
 Level detected_level();
 
-/// The level the PointSet kernels dispatch to: detected_level(), optionally
-/// lowered by the GEORED_SIMD environment variable ("scalar", "avx2",
-/// "avx512" — values above the detected level are clamped down). Read once;
-/// cached for the process lifetime.
+/// The level every SIMD kernel dispatches to — the PointSet kernels and the
+/// summarizer's ingest alike: detected_level(), optionally lowered by the
+/// GEORED_SIMD environment variable ("scalar", "avx2", "avx512" — values
+/// above the detected level are clamped down; any other value throws
+/// std::invalid_argument). Read once; cached for the process lifetime.
 Level active_level();
 
 /// Stable lowercase name ("scalar" / "avx2" / "avx512") for reports.
@@ -91,9 +92,9 @@ inline constexpr std::size_t kMinBatchQueries = 16;
 /// first-winner centroid index to out_assign[j] and the best / second-best
 /// squared distances to out_best_sq[j] / out_second_sq[j] (infinity when
 /// k == 1). Per-lane arithmetic follows the exact per-dimension
-/// subtract/multiply/add sequence of PointSet::nearest2_of in ascending
-/// centroid order, so every output is bit-identical to the scalar scan at
-/// every level. Requires k >= 1.
+/// subtract/multiply/add sequence of PointSet::distance_squared in
+/// ascending centroid order with strict-`<` first-winner selects, so every
+/// output is bit-identical to the scalar scan at every level. Requires k >= 1.
 void nearest2_batch(const double* points, std::size_t dim, const std::size_t* indices,
                     std::size_t count, const double* centroids, std::size_t k,
                     std::size_t* out_assign, double* out_best_sq, double* out_second_sq,

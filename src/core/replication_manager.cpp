@@ -25,6 +25,22 @@ EpochPipeline standard_pipeline(const ManagerConfig& config) {
   return pipeline;
 }
 
+serve::ReplicaPanel replica_panel(const std::vector<place::CandidateInfo>& candidates,
+                                  const place::Placement& placement) {
+  std::vector<serve::ReplicaSpec> specs;
+  specs.reserve(placement.size());
+  for (const auto node : placement) {
+    const auto it =
+        std::find_if(candidates.begin(), candidates.end(),
+                     [node](const place::CandidateInfo& c) { return c.node == node; });
+    GEORED_ENSURE(it != candidates.end(), "node is not a candidate data center");
+    specs.push_back({node, it->coords});
+  }
+  serve::ReplicaPanel panel;
+  panel.set_replicas(specs);
+  return panel;
+}
+
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
                                        ManagerConfig config, std::uint64_t seed)
     : ReplicationManager(std::move(candidates), config, seed, standard_pipeline(config)) {}
@@ -56,16 +72,10 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
   input.k = degree_;
   input.seed = seed_;
   placement_ = place::RandomPlacement().place(input);
+  panel_ = replica_panel(candidates_, placement_);
   for (const auto node : placement_) {
     summarizers_.emplace(node, cluster::MicroClusterSummarizer(config_.summarizer));
   }
-}
-
-const place::CandidateInfo& ReplicationManager::candidate_info(topo::NodeId node) const {
-  const auto it = std::find_if(candidates_.begin(), candidates_.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
-  GEORED_ENSURE(it != candidates_.end(), "node is not a candidate data center");
-  return *it;
 }
 
 topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_weight) {
@@ -77,17 +87,20 @@ topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_w
 
 std::optional<topo::NodeId> ReplicationManager::route(const Point& client_coords,
                                                       const std::set<topo::NodeId>& down) const {
-  std::optional<topo::NodeId> best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (const auto node : placement_) {
-    if (down.contains(node)) continue;
-    const double dist = client_coords.distance_squared_to(candidate_info(node).coords);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = node;
-    }
-  }
-  return best;
+  GEORED_ENSURE(client_coords.dim() == panel_.dim(), "client coordinate dimension mismatch");
+  const std::size_t row =
+      panel_.nearest_up(client_coords.values().data(), nullptr,
+                        [&](std::size_t r) { return !down.contains(panel_.up_node(r)); });
+  if (row == serve::ReplicaPanel::kNone) return std::nullopt;
+  return panel_.up_node(row);
+}
+
+std::vector<topo::NodeId> ReplicationManager::nearest_replicas(const Point& client_coords,
+                                                               std::size_t r) const {
+  GEORED_ENSURE(client_coords.dim() == panel_.dim(), "client coordinate dimension mismatch");
+  std::vector<topo::NodeId> nearest;
+  panel_.nearest_r(client_coords.values().data(), r, nearest);
+  return nearest;
 }
 
 void ReplicationManager::record_access(topo::NodeId replica, const Point& client_coords,
@@ -211,20 +224,19 @@ const std::vector<cluster::MicroCluster>& ReplicationManager::summary_of(
 }
 
 double ReplicationManager::estimate_average_delay(
-    const place::Placement& placement,
+    const serve::ReplicaPanel& panel,
     const std::vector<cluster::MicroCluster>& summaries) const {
   // Per-access delay estimated from the summaries themselves: each
   // micro-cluster's population is assumed to sit at its centroid and read
-  // from the nearest replica (in coordinate space).
+  // from the nearest replica (in coordinate space). sqrt is monotone and
+  // correctly rounded, so sqrt of the minimum squared distance equals the
+  // minimum of the sqrt distances bit for bit.
   double total = 0.0, accesses = 0.0;
   for (const auto& micro : summaries) {
     if (micro.count() == 0) continue;
-    const Point centroid = micro.centroid();
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto node : placement) {
-      best = std::min(best, centroid.distance_to(candidate_info(node).coords));
-    }
-    total += best * static_cast<double>(micro.count());
+    double best_sq = std::numeric_limits<double>::infinity();
+    panel.nearest_up(micro.centroid().values().data(), &best_sq);
+    total += std::sqrt(best_sq) * static_cast<double>(micro.count());
     accesses += static_cast<double>(micro.count());
   }
   return accesses > 0.0 ? total / accesses : 0.0;
@@ -282,7 +294,8 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
     // A seed stream distinct from the epoch proposals', so the probe and
     // the next run_epoch never correlate.
     input.seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
-    const double per_access = estimate_average_delay(probe->place(input), summaries);
+    const double per_access =
+        estimate_average_delay(replica_panel(candidates_, probe->place(input)), summaries);
     // More replicas can only help; clustering noise may say otherwise, so
     // each level is floored by its predecessors — the allocator requires a
     // non-increasing curve.
@@ -346,11 +359,9 @@ void ReplicationManager::restore(ByteReader& reader) {
   const std::uint32_t placement_size = reader.read_u32();
   place::Placement placement;
   placement.reserve(placement_size);
-  for (std::uint32_t i = 0; i < placement_size; ++i) {
-    const topo::NodeId node = reader.read_u32();
-    candidate_info(node);  // throws for unknown candidates
-    placement.push_back(node);
-  }
+  for (std::uint32_t i = 0; i < placement_size; ++i) placement.push_back(reader.read_u32());
+  // Throws for unknown or repeated nodes, before any state changes.
+  serve::ReplicaPanel panel = replica_panel(candidates_, placement);
   std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
   for (const auto node : placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
@@ -377,6 +388,7 @@ void ReplicationManager::restore(ByteReader& reader) {
   budget_granted_ = budget_granted;
   budget_weight_ = budget_weight;
   placement_ = std::move(placement);
+  panel_ = std::move(panel);
   summarizers_ = std::move(summarizers);
   pipeline_.proposer->set_warm_centroids(std::move(centroids));
 }
@@ -451,9 +463,9 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   // 4. Migration gate.
   {
     const StageTimer timer(report.stages.gate_ms);
-    report.old_estimated_delay_ms = estimate_average_delay(placement_, collected.summaries);
-    report.new_estimated_delay_ms =
-        estimate_average_delay(report.proposed_placement, collected.summaries);
+    report.old_estimated_delay_ms = estimate_average_delay(panel_, collected.summaries);
+    report.new_estimated_delay_ms = estimate_average_delay(
+        replica_panel(candidates_, report.proposed_placement), collected.summaries);
     std::size_t moved = 0;
     for (const auto node : report.proposed_placement) {
       if (std::find(placement_.begin(), placement_.end(), node) == placement_.end()) ++moved;
@@ -473,6 +485,7 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     const StageTimer timer(report.stages.adopt_ms);
     if (report.decision.migrate || degree_changed || current_placement_impaired) {
       placement_ = report.proposed_placement;
+      panel_ = replica_panel(candidates_, placement_);
       pipeline_.adopter->adopt(placement_, collected.summaries, candidates_,
                                config_.summarizer, summarizers_);
     } else {

@@ -48,6 +48,7 @@
 #include "core/migration.h"
 #include "placement/online_clustering.h"
 #include "placement/types.h"
+#include "serve/replica_panel.h"
 
 namespace geored::core {
 
@@ -136,6 +137,11 @@ struct EpochReport {
 /// byte-identically to the historical hand-inlined run_epoch.
 EpochPipeline standard_pipeline(const ManagerConfig& config);
 
+/// The routing panel over `placement` with candidate coordinates; throws
+/// for a member missing from `candidates` or listed twice.
+serve::ReplicaPanel replica_panel(const std::vector<place::CandidateInfo>& candidates,
+                                  const place::Placement& placement);
+
 class ReplicationManager {
  public:
   /// `candidates` are the usable data centers (with coordinates); the
@@ -159,12 +165,16 @@ class ReplicationManager {
   topo::NodeId serve(const Point& client_coords, double data_weight = 1.0);
 
   /// Pure routing: the replica nearest `client_coords` in coordinate space,
-  /// skipping any replica in `down` (e.g. data centers currently failed).
-  /// Returns nullopt when every replica is down. Records nothing — callers
-  /// that serve the access follow up with record_access. serve() is
-  /// route({}) + record_access.
+  /// skipping any replica in `down` (e.g. data centers currently failed);
+  /// exact distance ties go to the lowest NodeId. Returns nullopt when
+  /// every replica is down. Records nothing — callers that serve the access
+  /// follow up with record_access. serve() is route({}) + record_access.
   std::optional<topo::NodeId> route(const Point& client_coords,
                                     const std::set<topo::NodeId>& down = {}) const;
+
+  /// The min(r, degree) replicas nearest `client_coords`, nearest first, in
+  /// (distance, NodeId) order — a quorum read's targets. Records nothing.
+  std::vector<topo::NodeId> nearest_replicas(const Point& client_coords, std::size_t r) const;
 
   /// Records an access served by `replica` (which must currently hold a
   /// replica) for a client at `client_coords`. Use this form when the caller
@@ -268,9 +278,8 @@ class ReplicationManager {
     std::uint64_t accesses GEORED_GUARDED_BY(mutex) = 0;
   };
 
-  double estimate_average_delay(const place::Placement& placement,
+  double estimate_average_delay(const serve::ReplicaPanel& panel,
                                 const std::vector<cluster::MicroCluster>& summaries) const;
-  const place::CandidateInfo& candidate_info(topo::NodeId node) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
   IngestShard& shard_of(topo::NodeId replica) const {
     return *ingest_shards_[replica % ingest_shards_.size()];
@@ -284,6 +293,8 @@ class ReplicationManager {
   bool budget_granted_ = false;
   double budget_weight_ = 1.0;
   place::Placement placement_;
+  /// Routing panel over placement_; rebuilt only where placement_ is set.
+  serve::ReplicaPanel panel_;
   /// mutable with the shards: staging is a cache layout, not observable
   /// state — const readers flush it so summaries never depend on the grain.
   /// Not guarded: the map's structure is mutated only by the epoch and

@@ -54,7 +54,17 @@ ReplicationSystem::ReplicationSystem(sim::Simulator& simulator, sim::Network& ne
   GEORED_ENSURE(clients_.size() == workload_.client_count(),
                 "workload must cover exactly the client population");
   GEORED_ENSURE(config_.epoch_ms > 0.0, "epoch period must be positive");
-  active_placement_ = manager_.placement();
+  for (const auto& coords : client_coords_) {
+    GEORED_ENSURE(coords.dim() == candidates_.front().coords.dim(),
+                  "client coordinates must match the data centers' dimension");
+  }
+  set_active_placement(manager_.placement());
+}
+
+void ReplicationSystem::set_active_placement(place::Placement placement) {
+  routing_ = replica_panel(candidates_, placement);
+  routing_.set_down(failed_);
+  active_placement_ = std::move(placement);
 }
 
 void ReplicationSystem::schedule_failure(topo::NodeId node, double start_ms, double end_ms) {
@@ -62,11 +72,11 @@ void ReplicationSystem::schedule_failure(topo::NodeId node, double start_ms, dou
   GEORED_ENSURE(end_ms >= start_ms, "failure interval must be ordered");
   simulator_.schedule_at(start_ms, [this, node] {
     failed_.insert(node);
-    routing_dirty_ = true;
+    routing_.set_down(failed_);
   });
   simulator_.schedule_at(end_ms, [this, node] {
     failed_.erase(node);
-    routing_dirty_ = true;
+    routing_.set_down(failed_);
   });
 }
 
@@ -89,50 +99,22 @@ void ReplicationSystem::schedule_client(std::size_t client_index, double duratio
   }
 }
 
-void ReplicationSystem::refresh_routing_cache() {
-  live_nodes_.clear();
-  live_coords_ = PointSet();
-  for (const auto node : active_placement_) {
-    if (!is_up(node)) continue;
-    const auto it =
-        std::find_if(candidates_.begin(), candidates_.end(),
-                     [node](const place::CandidateInfo& c) { return c.node == node; });
-    GEORED_CHECK(it != candidates_.end(), "placement node missing from candidates");
-    live_nodes_.push_back(node);
-    live_coords_.push_back(it->coords);
-  }
-  routing_dirty_ = false;
-}
-
 void ReplicationSystem::on_access(std::size_t client_index, double started_at) {
   const topo::NodeId client = clients_[client_index];
   const Point& coords = client_coords_[client_index];
 
-  // Pick the replica: lowest true RTT (oracle) or lowest predicted RTT.
-  // Routing runs on the cached live-replica rows; the strict-< first-winner
-  // choice over squared coordinate distances equals the historical choice
-  // over sqrt distances (sqrt is strictly increasing), so the cache only
-  // moves the candidate lookup off the per-access path.
-  if (routing_dirty_) refresh_routing_cache();
-  if (live_nodes_.empty()) {
+  // Pick the live replica with the lowest true RTT (oracle) or lowest
+  // predicted RTT; ties go to the lowest NodeId either way.
+  if (routing_.up_count() == 0) {
     ++failed_accesses_;
     return;
   }
-  topo::NodeId replica = 0;
-  if (config_.selection == ReplicaSelection::kTrueClosest) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < live_nodes_.size(); ++i) {
-      const double metric = network_.rtt_ms(client, live_nodes_[i]);
-      if (metric < best) {
-        best = metric;
-        best_index = i;
-      }
-    }
-    replica = live_nodes_[best_index];
-  } else {
-    replica = live_nodes_[live_coords_.nearest_of(coords)];
-  }
+  const std::size_t row =
+      config_.selection == ReplicaSelection::kTrueClosest
+          ? routing_.argmin_up(
+                [&](std::size_t r) { return network_.rtt_ms(client, routing_.up_node(r)); })
+          : routing_.nearest_up(coords.values().data());
+  const topo::NodeId replica = routing_.up_node(row);
 
   const double data_weight = workload_.data_per_access(client_index);
   network_.send(client, replica, config_.request_bytes, sim::TrafficClass::kAccess,
@@ -210,16 +192,10 @@ void ReplicationSystem::run_epoch_at_coordinator() {
       ++*transfers;
       network_.send(source, node, config_.object_bytes, sim::TrafficClass::kMigration,
                     [this, transfers, next] {
-                      if (--*transfers == 0) {
-                        active_placement_ = next;
-                        routing_dirty_ = true;
-                      }
+                      if (--*transfers == 0) set_active_placement(next);
                     });
     }
-    if (*transfers == 0) {  // pure shrink, no copies
-      active_placement_ = next;
-      routing_dirty_ = true;
-    }
+    if (*transfers == 0) set_active_placement(next);  // pure shrink, no copies
   };
 
   if (live.empty()) {

@@ -87,7 +87,7 @@ class ReplicationSystem {
   void on_access(std::size_t client_index, double started_at);
   void run_epoch_at_coordinator();
   bool is_up(topo::NodeId node) const { return !failed_.contains(node); }
-  void refresh_routing_cache();
+  void set_active_placement(place::Placement placement);
 
   sim::Simulator& simulator_;
   sim::Network& network_;
@@ -101,15 +101,8 @@ class ReplicationSystem {
 
   ReplicationManager manager_;
   place::Placement active_placement_;  ///< what clients route against
-
-  /// Live replicas in active_placement_ order with their coordinates as one
-  /// contiguous row set, so per-access routing is a flat nearest-row kernel
-  /// instead of a candidate-list search per replica. Rebuilt lazily when a
-  /// migration lands or a failure starts/ends (routing_dirty_).
-  std::vector<topo::NodeId> live_nodes_;
-  PointSet live_coords_;
-  bool routing_dirty_ = true;
-
+  /// Routing panel over active_placement_ with failed_ marked down.
+  serve::ReplicaPanel routing_;
   std::set<topo::NodeId> failed_;
   OnlineStats overall_delay_;
   OnlineStats epoch_delay_;

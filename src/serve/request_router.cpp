@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/ensure.h"
-#include "common/point_set_simd.h"
 
 namespace geored::serve {
 
@@ -13,64 +12,23 @@ RequestRouter::RequestRouter(ServeConfig config) : config_(config) {
 }
 
 void RequestRouter::set_replicas(const std::vector<ReplicaSpec>& replicas) {
-  // Placement adoption is a per-epoch path, not per-request.
-  std::vector<Replica> next;  // lint: alloc-ok
-  next.reserve(replicas.size());
-
-  // Ascending-NodeId order is the routing tie-break: the panel scan takes
-  // the first strict-`<` winner, so equal distances resolve to the lowest
-  // node id. Sort a copy of the spec order here.
-  std::vector<std::size_t> order(replicas.size());  // lint: alloc-ok
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return replicas[a].node < replicas[b].node;
-  });
-
-  PointSet coords;
-  for (const std::size_t i : order) {
-    const ReplicaSpec& spec = replicas[i];
-    GEORED_ENSURE(next.empty() || next.back().node < spec.node,
-                  "duplicate replica node in set_replicas");
-    Replica replica;
-    replica.node = spec.node;
-    // Carry queue state across placement changes for retained replicas:
-    // requests in flight at an epoch boundary are still in flight.
-    const auto old = std::lower_bound(
-        replicas_.begin(), replicas_.end(), spec.node,
-        [](const Replica& r, topo::NodeId node) { return r.node < node; });
-    if (old != replicas_.end() && old->node == spec.node) {
-      replica.queue = std::move(old->queue);
+  // Retained replicas keep their queues: requests in flight at an epoch
+  // boundary are still in flight. A per-epoch path, not per-request.
+  const std::vector<topo::NodeId> old_nodes = panel_.nodes();  // lint: alloc-ok
+  panel_.set_replicas(replicas);
+  std::vector<Queue> queues(panel_.size());  // lint: alloc-ok
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    const auto old = std::lower_bound(old_nodes.begin(), old_nodes.end(), panel_.nodes()[i]);
+    if (old != old_nodes.end() && *old == panel_.nodes()[i]) {
+      queues[i] = std::move(queues_[static_cast<std::size_t>(old - old_nodes.begin())]);
     } else {
-      replica.queue.ring.assign(config_.queue_cap, 0.0);
+      queues[i].ring.assign(config_.queue_cap, 0.0);
     }
-    next.push_back(std::move(replica));
-    coords.push_back(spec.coords);
   }
-  replicas_ = std::move(next);
-  coords_ = std::move(coords);
-  rebuild_panel();
+  queues_ = std::move(queues);
 }
 
-void RequestRouter::set_down(const std::set<topo::NodeId>& down) {
-  // The set is tiny (outage windows); the compare makes the per-access
-  // call free whenever the down set is unchanged.
-  if (down.size() == down_.size() &&
-      std::equal(down.begin(), down.end(), down_.begin())) {
-    return;
-  }
-  down_.assign(down.begin(), down.end());
-  rebuild_panel();
-}
-
-void RequestRouter::rebuild_panel() {
-  up_panel_ = PointSet(coords_.dim());
-  up_slots_.clear();
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (std::binary_search(down_.begin(), down_.end(), replicas_[i].node)) continue;
-    up_panel_.push_back_row(coords_.row(i), coords_.dim());
-    up_slots_.push_back(i);
-  }
-}
+void RequestRouter::set_down(const std::set<topo::NodeId>& down) { panel_.set_down(down); }
 
 std::size_t RequestRouter::prune(Queue& queue, double now_ms) const {
   const std::size_t cap = config_.queue_cap;
@@ -81,8 +39,7 @@ std::size_t RequestRouter::prune(Queue& queue, double now_ms) const {
   return queue.count;
 }
 
-double RequestRouter::enqueue(Replica& replica, double now_ms) {
-  Queue& queue = replica.queue;
+double RequestRouter::enqueue(Queue& queue, double now_ms) {
   const double wait_ms = std::max(0.0, queue.last_depart_ms - now_ms);
   const double depart_ms = now_ms + wait_ms + config_.service_ms;
   queue.ring[(queue.head + queue.count) % config_.queue_cap] = depart_ms;
@@ -93,35 +50,27 @@ double RequestRouter::enqueue(Replica& replica, double now_ms) {
 
 void RequestRouter::admit(std::size_t primary_row, double primary_dist_sq,
                           const double* query, double now_ms, RouteDecision& out) {
-  Replica& primary = replicas_[up_slots_[primary_row]];
-  if (prune(primary.queue, now_ms) < config_.queue_cap) {
+  Queue& primary = queues_[panel_.up_slot(primary_row)];
+  if (prune(primary, now_ms) < config_.queue_cap) {
     out.outcome = RouteDecision::Outcome::kAdmitted;
-    out.replica = primary.node;
+    out.replica = panel_.up_node(primary_row);
     out.wait_ms = enqueue(primary, now_ms);
     out.dist_sq = primary_dist_sq;
     ++stats_.admitted;
     return;
   }
-  if (config_.policy == ServeConfig::Policy::kSpill && up_panel_.size() >= 2) {
-    // Second-nearest up replica: a lazy scalar re-scan excluding the
-    // primary row. The batched kernel reports the runner-up *distance* but
-    // not its index; recovering it here only on the (rare) full-queue path
-    // keeps the common case on the pure argmin kernels. Same strict-`<`
-    // first-winner order as the primary scan.
-    std::size_t spill_row = primary_row;
-    double spill_dist = std::numeric_limits<double>::infinity();
-    const std::size_t rows = up_panel_.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == primary_row) continue;
-      const double dist = up_panel_.distance_squared(r, query);
-      const bool better = dist < spill_dist;
-      spill_row = better ? r : spill_row;
-      spill_dist = better ? dist : spill_dist;
-    }
-    Replica& spill = replicas_[up_slots_[spill_row]];
-    if (prune(spill.queue, now_ms) < config_.queue_cap) {
+  if (config_.policy == ServeConfig::Policy::kSpill && panel_.up_count() >= 2) {
+    // Second-nearest up replica: a lazy re-scan excluding the primary row.
+    // The batched kernel reports the runner-up *distance* but not its
+    // index; recovering it here only on the (rare) full-queue path keeps
+    // the common case on the pure argmin kernels.
+    double spill_dist = 0.0;
+    const std::size_t spill_row = panel_.nearest_up(
+        query, &spill_dist, [primary_row](std::size_t row) { return row != primary_row; });
+    Queue& spill = queues_[panel_.up_slot(spill_row)];
+    if (prune(spill, now_ms) < config_.queue_cap) {
       out.outcome = RouteDecision::Outcome::kSpilled;
-      out.replica = spill.node;
+      out.replica = panel_.up_node(spill_row);
       out.wait_ms = enqueue(spill, now_ms);
       out.dist_sq = spill_dist;
       ++stats_.admitted;
@@ -136,12 +85,12 @@ void RequestRouter::admit(std::size_t primary_row, double primary_dist_sq,
 RouteDecision RequestRouter::route(const double* query, double now_ms) {
   ++stats_.requests;
   RouteDecision decision;
-  if (up_panel_.empty()) {
+  double best_sq = 0.0;
+  const std::size_t row = panel_.nearest_up(query, &best_sq);
+  if (row == ReplicaPanel::kNone) {
     ++stats_.lost;
     return decision;
   }
-  double best_sq = 0.0;
-  const std::size_t row = up_panel_.nearest2_of(query, &best_sq, nullptr);
   admit(row, best_sq, query, now_ms, decision);
   return decision;
 }
@@ -150,7 +99,7 @@ void RequestRouter::route_batch(const PointSet& points, const std::size_t* indic
                                 std::size_t count, const double* nows_ms,
                                 RouteDecision* out) {
   if (count == 0) return;
-  if (up_panel_.empty()) {
+  if (panel_.up_count() == 0) {
     for (std::size_t j = 0; j < count; ++j) {
       ++stats_.requests;
       ++stats_.lost;
@@ -158,18 +107,15 @@ void RequestRouter::route_batch(const PointSet& points, const std::size_t* indic
     }
     return;
   }
-  GEORED_ENSURE(points.dim() == up_panel_.dim(),
-                "query dimension mismatch in route_batch");
+  GEORED_ENSURE(points.dim() == panel_.dim(), "query dimension mismatch in route_batch");
   assign_.resize(count);
   best_sq_.resize(count);
   second_sq_.resize(count);
-  // One batched nearest-two scan for the whole chunk (one query per SIMD
-  // lane, bit-identical to the scalar nearest2_of at every level), then the
-  // sequential admission pass in arrival order — queue decisions depend on
-  // earlier admissions, so that part is inherently ordered.
-  simd::nearest2_batch(points.row(0), points.dim(), indices, count, up_panel_.row(0),
-                       up_panel_.size(), assign_.data(), best_sq_.data(),
-                       second_sq_.data(), simd::active_level());
+  // One batched nearest-two scan for the whole chunk, then the sequential
+  // admission pass in arrival order — queue decisions depend on earlier
+  // admissions, so that part is inherently ordered.
+  panel_.nearest2_batch(points, indices, count, assign_.data(), best_sq_.data(),
+                        second_sq_.data());
   for (std::size_t j = 0; j < count; ++j) {
     const double* query = points.row(indices != nullptr ? indices[j] : j);
     ++stats_.requests;
@@ -187,11 +133,10 @@ double RequestRouter::complete(const RouteDecision& decision, double rtt_ms) {
 
 // Observational: an unknown node reads as an empty queue by design.
 std::size_t RequestRouter::resident_at(topo::NodeId node, double now_ms) const {  // lint: no-ensure
-  const auto it = std::lower_bound(
-      replicas_.begin(), replicas_.end(), node,
-      [](const Replica& r, topo::NodeId id) { return r.node < id; });
-  if (it == replicas_.end() || it->node != node) return 0;
-  const Queue& queue = it->queue;
+  const std::vector<topo::NodeId>& nodes = panel_.nodes();
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
+  if (it == nodes.end() || *it != node) return 0;
+  const Queue& queue = queues_[static_cast<std::size_t>(it - nodes.begin())];
   std::size_t resident = 0;
   for (std::size_t i = 0; i < queue.count; ++i) {
     if (queue.ring[(queue.head + i) % config_.queue_cap] > now_ms) ++resident;

@@ -2,12 +2,9 @@
 //
 // Placement quality has so far only been an objective value; the router
 // closes the loop by serving individual requests. Each request resolves to
-// the nearest *up* replica in coordinate space (the paper's nearest-replica
-// access model) through the same SoA distance kernels the placement hot
-// paths use — per query via PointSet::nearest2_of, batched via
-// simd::nearest2_batch, which is bit-identical to the scalar scan at every
-// SIMD level — and then passes admission control in front of a bounded
-// per-replica FIFO queue:
+// the nearest *up* replica through its ReplicaPanel (replica_panel.h) and
+// then passes admission control in front of a bounded per-replica FIFO
+// queue:
 //
 //   * Each replica serves one request every service_ms on a deterministic
 //     virtual-time model: a request arriving at `now` departs at
@@ -23,11 +20,9 @@
 //
 // Determinism contract: routing and admission are pure functions of the
 // replica set, the down set, and the (query, now) sequence — no wall clock,
-// no RNG, no iteration over unordered containers. Ties in the nearest scan
-// go to the lowest NodeId (the up panel is sorted ascending by node and the
-// scan takes the first strict-`<` winner). route_batch reproduces a route()
-// loop bit for bit; tests/serve pins both against the frozen Point-loop
-// reference in router_scalar.h.
+// no RNG, no iteration over unordered containers; nearest-scan ties go to
+// the lowest NodeId. route_batch reproduces a route() loop bit for bit;
+// tests/serve pins both against the frozen reference in router_scalar.h.
 //
 // The router is single-threaded like every geored component; `now_ms` must
 // be non-decreasing across calls (simulator event order provides this).
@@ -42,6 +37,7 @@
 #include "common/point.h"
 #include "common/point_set.h"
 #include "serve/latency_histogram.h"
+#include "serve/replica_panel.h"
 #include "topology/topology.h"
 
 namespace geored::serve {
@@ -57,13 +53,6 @@ struct ServeConfig {
     kSpill,   ///< full primary queue retries the second-nearest up replica
   };
   Policy policy = Policy::kSpill;
-};
-
-/// One replica the router may serve from: a data center and its network
-/// coordinates (the summary-space position replica selection runs in).
-struct ReplicaSpec {
-  topo::NodeId node = 0;
-  Point coords;
 };
 
 /// What the router decided for one request.
@@ -111,8 +100,8 @@ class RequestRouter {
   /// Cheap when the down set is unchanged from the previous call.
   void set_down(const std::set<topo::NodeId>& down);
 
-  std::size_t replica_count() const { return replicas_.size(); }
-  std::size_t up_count() const { return up_panel_.size(); }
+  std::size_t replica_count() const { return panel_.size(); }
+  std::size_t up_count() const { return panel_.up_count(); }
 
   /// Routes one request at virtual time `now_ms`. `query` holds the
   /// client's coordinates (same dimension as the replica specs). Updates
@@ -158,26 +147,17 @@ class RequestRouter {
     double last_depart_ms = 0.0;
   };
 
-  struct Replica {
-    topo::NodeId node = 0;
-    Queue queue;
-  };
-
-  void rebuild_panel();
   /// Prunes departures at or before now; returns resident count.
   std::size_t prune(Queue& queue, double now_ms) const;
   /// Admission at panel row `primary` (spilling per policy); fills `out`.
   void admit(std::size_t primary_row, double primary_dist_sq, const double* query,
              double now_ms, RouteDecision& out);
-  /// Pushes a request into `replica`'s queue; returns the queue wait.
-  double enqueue(Replica& replica, double now_ms);
+  /// Pushes a request into `queue`; returns the queue wait.
+  double enqueue(Queue& queue, double now_ms);
 
   ServeConfig config_;
-  std::vector<Replica> replicas_;       ///< ascending NodeId
-  PointSet coords_;                     ///< row i = replicas_[i] coordinates
-  std::vector<topo::NodeId> down_;      ///< sorted; mirrors the last set_down
-  PointSet up_panel_;                   ///< up-replica coordinates, ascending NodeId
-  std::vector<std::size_t> up_slots_;   ///< panel row -> replicas_ index
+  ReplicaPanel panel_;
+  std::vector<Queue> queues_;  ///< queues_[i] belongs to panel_.nodes()[i]
 
   LatencyHistogram histogram_;
   Stats stats_;

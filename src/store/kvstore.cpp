@@ -1,7 +1,6 @@
 #include "store/kvstore.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/ensure.h"
 
@@ -10,15 +9,11 @@ namespace geored::store {
 ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& network,
                                      std::vector<place::CandidateInfo> candidates,
                                      StoreConfig config, std::uint64_t seed)
-    : simulator_(simulator),
-      network_(network),
-      candidates_(std::move(candidates)),
-      config_(config),
-      seed_(seed) {
-  GEORED_ENSURE(!candidates_.empty(), "store needs at least one data center");
+    : simulator_(simulator), network_(network), config_(config) {
+  GEORED_ENSURE(!candidates.empty(), "store needs at least one data center");
   GEORED_ENSURE(config_.groups >= 1, "store needs at least one object group");
   GEORED_ENSURE(config_.quorum.n >= 1, "replication factor must be >= 1");
-  GEORED_ENSURE(config_.quorum.n <= candidates_.size(),
+  GEORED_ENSURE(config_.quorum.n <= candidates.size(),
                 "replication factor exceeds the candidate pool");
   GEORED_ENSURE(config_.quorum.r >= 1 && config_.quorum.r <= config_.quorum.n,
                 "read quorum must be in [1, n]");
@@ -33,10 +28,8 @@ ReplicatedKvStore::ReplicatedKvStore(sim::Simulator& simulator, sim::Network& ne
   fleet_config.groups = config_.groups;
   fleet_config.manager = config_.manager;
   // The quorum system owns the degree; no fleet-wide replica budget here.
-  fleet_ = std::make_unique<core::FleetManager>(candidates_, fleet_config, seed_);
-  for (const auto& candidate : candidates_) {
-    storage_.emplace(candidate.node, StorageNode{});
-  }
+  for (const auto& candidate : candidates) storage_.emplace(candidate.node, StorageNode{});
+  fleet_ = std::make_unique<core::FleetManager>(std::move(candidates), fleet_config, seed);
 }
 
 std::uint32_t ReplicatedKvStore::group_of(ObjectId id) const {
@@ -52,29 +45,6 @@ const core::ReplicationManager& ReplicatedKvStore::manager_of_group(
     std::uint32_t group) const {
   GEORED_ENSURE(group < fleet_->group_count(), "group index out of range");
   return fleet_->group(group);
-}
-
-const place::CandidateInfo& ReplicatedKvStore::candidate_info(topo::NodeId node) const {
-  const auto it = std::find_if(candidates_.begin(), candidates_.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
-  GEORED_CHECK(it != candidates_.end(), "placement node missing from candidates");
-  return *it;
-}
-
-std::vector<topo::NodeId> ReplicatedKvStore::closest_replicas(  // lint: no-ensure (total)
-    const place::Placement& placement, const Point& coords, std::size_t count) const {
-  std::vector<std::pair<double, topo::NodeId>> ranked;
-  ranked.reserve(placement.size());
-  for (const auto node : placement) {
-    ranked.emplace_back(coords.distance_squared_to(candidate_info(node).coords), node);
-  }
-  std::sort(ranked.begin(), ranked.end());
-  std::vector<topo::NodeId> result;
-  result.reserve(std::min(count, ranked.size()));
-  for (std::size_t i = 0; i < std::min(count, ranked.size()); ++i) {
-    result.push_back(ranked[i].second);
-  }
-  return result;
 }
 
 LamportClock& ReplicatedKvStore::clock_of(topo::NodeId client) {  // lint: no-ensure (total)
@@ -106,10 +76,8 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   // client would naturally be served by. The manager stages recorded
   // accesses and ingests them in batches at epoch/read boundaries, so the
   // per-put cost here is one append, not a summarizer update.
-  const auto nearest = closest_replicas(placement, client_coords, 1);
-  if (!nearest.empty()) {
-    manager.record_access(nearest.front(), client_coords,
-                          static_cast<double>(value.data.size()));
+  if (const auto nearest = manager.route(client_coords)) {
+    manager.record_access(*nearest, client_coords, static_cast<double>(value.data.size()));
   }
 
   const double started_at = simulator_.now();
@@ -117,12 +85,13 @@ void ReplicatedKvStore::put(topo::NodeId client, const Point& client_coords, Obj
   auto reported = std::make_shared<bool>(false);
   const std::size_t need = config_.quorum.w;
   const std::size_t payload = value.data.size() + config_.request_overhead_bytes;
+  const auto reached = std::make_shared<std::vector<topo::NodeId>>(placement);
 
   for (const auto replica : placement) {
     network_.send(client, replica, payload, sim::TrafficClass::kAccess,
-                  [this, replica, id, value, client, started_at, acks, reported, need,
-                   done] {
-                    storage_.at(replica).apply_write(id, value);
+                  [this, group, replica, id, value, client, started_at, acks, reported,
+                   reached, need, done] {
+                    deliver_write(group, replica, id, value, reached);
                     // Ack back to the client.
                     network_.send(replica, client, config_.request_overhead_bytes,
                                   sim::TrafficClass::kAccess,
@@ -150,8 +119,7 @@ void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, Obj
   GEORED_ENSURE(static_cast<bool>(done), "get requires a completion callback");
   const std::uint32_t group = group_of(id);
   auto& manager = fleet_->group(group);
-  const place::Placement& placement = manager.placement();
-  const auto targets = closest_replicas(placement, client_coords, config_.quorum.r);
+  const auto targets = manager.nearest_replicas(client_coords, config_.quorum.r);
   GEORED_CHECK(!targets.empty(), "group has no replicas");
 
   manager.record_access(targets.front(), client_coords, 1.0);
@@ -210,6 +178,26 @@ void ReplicatedKvStore::get(topo::NodeId client, const Point& client_coords, Obj
                           done(result);
                         });
         });
+  }
+}
+
+void ReplicatedKvStore::deliver_write(  // lint: no-ensure (group checked by put)
+    std::uint32_t group, topo::NodeId replica, ObjectId id, const VersionedValue& value,
+    const std::shared_ptr<std::vector<topo::NodeId>>& reached) {
+  storage_.at(replica).apply_write(id, value);
+  // A migration snapshots its source when the placement changes, so a write
+  // still in flight at that moment is missing from the snapshot, and the
+  // new member would serve reads without it until the object is written
+  // again. Whichever replica it lands on first after the change forwards
+  // it; `reached` makes that once per member, and a forwarded copy that
+  // itself races a later change forwards again.
+  for (const auto member : placement_of_group(group)) {
+    if (std::find(reached->begin(), reached->end(), member) != reached->end()) continue;
+    reached->push_back(member);
+    network_.send(replica, member, value.data.size() + config_.request_overhead_bytes,
+                  sim::TrafficClass::kMigration, [this, group, member, id, value, reached] {
+                    deliver_write(group, member, id, value, reached);
+                  });
   }
 }
 

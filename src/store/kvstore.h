@@ -116,19 +116,20 @@ class ReplicatedKvStore {
   const StorageNode& storage_at(topo::NodeId node) const;
 
  private:
-  const place::CandidateInfo& candidate_info(topo::NodeId node) const;
-  /// The `count` placement members closest to `coords` (predicted).
-  std::vector<topo::NodeId> closest_replicas(const place::Placement& placement,
-                                             const Point& coords, std::size_t count) const;
   LamportClock& clock_of(topo::NodeId client);
+  /// Delivers a write to `replica`, then forwards it from there to every
+  /// current member of the group that `reached` (the nodes the write was
+  /// already sent to) lacks — the members a placement change added after
+  /// the client addressed the old placement.
+  void deliver_write(std::uint32_t group, topo::NodeId replica, ObjectId id,
+                     const VersionedValue& value,
+                     const std::shared_ptr<std::vector<topo::NodeId>>& reached);
   void migrate_group(std::uint32_t group, const place::Placement& old_placement,
                      const place::Placement& new_placement);
 
   sim::Simulator& simulator_;
   sim::Network& network_;
-  std::vector<place::CandidateInfo> candidates_;
   StoreConfig config_;
-  std::uint64_t seed_;
 
   /// Per-group placement pipelines; the store's groups are the fleet's.
   std::unique_ptr<core::FleetManager> fleet_;

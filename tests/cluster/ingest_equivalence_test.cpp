@@ -18,6 +18,7 @@
 #include "cluster/summarizer.h"
 #include "cluster/summarizer_scalar.h"
 #include "common/point_set.h"
+#include "common/point_set_simd.h"
 #include "common/random.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
@@ -136,6 +137,14 @@ TEST_P(IngestEquivalence, BatchedPathMatchesScalarBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IngestEquivalence, ::testing::Range<std::uint64_t>(1, 13));
+
+// The store's AVX2 kernels obey the one SIMD switch: GEORED_SIMD=scalar
+// (the simd_scalar.* ctest entries) runs the scalar ingest loop, so the
+// byte pins above cover both paths.
+TEST(IngestEquivalence, StoreKernelsFollowTheActiveSimdLevel) {
+  const MomentStore store(1.0, 1.0);
+  EXPECT_EQ(store.avx2(), simd::active_level() >= simd::Level::kAvx2);
+}
 
 TEST(IngestEquivalence, NearestCentroidMatchesPointSetScan) {
   // Store sizes 1..20 cover the scalar fallback (< 4 rows), the in-register

@@ -236,7 +236,7 @@ TEST(PointSetSimd, PointSetDispatchAgreesWithExplicitLevels) {
 }
 
 /// Independent scalar reference for the batched nearest-two kernel:
-/// PointSet::nearest2_of restated (branchless strict-`<` selects in
+/// the scalar nearest-two loop restated (branchless strict-`<` selects in
 /// ascending centroid order) so the pin cannot inherit a kernel bug.
 void reference_nearest2(const double* q, const double* centroids, std::size_t k,
                         std::size_t dim, std::size_t* out_assign, double* out_best,

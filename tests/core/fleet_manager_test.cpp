@@ -183,5 +183,23 @@ TEST(FleetManager, GroupHashIsStableAndServeRoutesToTheGroup) {
   }
 }
 
+// Two data centers at identical coordinates: whichever order a group's
+// placement lists them in, FleetManager::serve picks the lower NodeId.
+TEST(FleetManager, ServeTiesGoToTheLowestNodeId) {
+  const Point shared{250.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  FleetConfig config;
+  config.groups = 16;
+  config.manager = small_config(2);
+  FleetManager fleet({{5, shared, inf}, {2, shared, inf}}, config, 9);
+  bool saw_higher_first = false;
+  for (std::uint64_t id = 0; id < 256; ++id) {
+    const auto& placement = fleet.group(fleet.group_of(id)).placement();
+    saw_higher_first = saw_higher_first || placement.front() == 5;
+    EXPECT_EQ(fleet.serve(id, Point{0.0}), 2u) << "object " << id;
+  }
+  EXPECT_TRUE(saw_higher_first);
+}
+
 }  // namespace
 }  // namespace geored::core

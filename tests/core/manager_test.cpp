@@ -6,7 +6,9 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "common/random.h"
@@ -66,6 +68,33 @@ TEST(Manager, ServeRoutesToNearestReplica) {
   EXPECT_EQ(manager.epoch_accesses(), placement.size());
 }
 
+/// Two data centers at identical coordinates, listed higher NodeId first,
+/// and a construction seed whose random initial placement also lists the
+/// higher NodeId first — the layout where placement-order and NodeId-order
+/// tie rules disagree.
+ReplicationManager twin_manager() {
+  const Point shared{250.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<place::CandidateInfo> twins = {{5, shared, inf}, {2, shared, inf}};
+  for (std::uint64_t seed = 1; seed < 64; ++seed) {
+    ReplicationManager manager(twins, small_config(2), seed);
+    if (manager.placement().front() == 5) return manager;
+  }
+  throw std::runtime_error("no seed lists the higher node first");
+}
+
+TEST(Manager, RouteTiesGoToTheLowestNodeId) {
+  ReplicationManager manager = twin_manager();
+  ASSERT_EQ(manager.placement(), (place::Placement{5, 2}));
+  EXPECT_EQ(manager.route(Point{0.0}), std::optional<topo::NodeId>(2));
+  EXPECT_EQ(manager.route(Point{250.0}), std::optional<topo::NodeId>(2));
+  EXPECT_EQ(manager.route(Point{0.0}, {2}), std::optional<topo::NodeId>(5));
+  EXPECT_EQ(manager.route(Point{0.0}, {2, 5}), std::nullopt);
+  EXPECT_EQ(manager.serve(Point{900.0}), 2u);
+  EXPECT_EQ(manager.nearest_replicas(Point{0.0}, 2), (std::vector<topo::NodeId>{2, 5}));
+  EXPECT_EQ(manager.nearest_replicas(Point{0.0}, 1), (std::vector<topo::NodeId>{2}));
+}
+
 TEST(Manager, RecordAccessRejectsNonReplica) {
   ReplicationManager manager(line_candidates(), small_config(2), 7);
   topo::NodeId not_a_replica = 0;
@@ -112,6 +141,28 @@ TEST(IngestConcurrency, ConcurrentRecordPathsLoseNothing) {
   const EpochReport report = manager.run_epoch();
   EXPECT_EQ(report.epoch_accesses, kThreads * kBatchesPerThread * (kRowsPerBatch + 1));
   EXPECT_EQ(manager.epoch_accesses(), 0u);
+}
+
+// route() only reads the routing panel, so it may run while serve() records
+// from other threads — the FleetManager::serve and KV-store pattern.
+TEST(IngestConcurrency, ConcurrentServeAndRouteAgreeAndLoseNothing) {
+  ReplicationManager manager(line_candidates(), small_config(2), 7);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kAccessesPerThread = 200;
+  std::atomic<std::size_t> disagreements{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kAccessesPerThread; ++i) {
+        const Point client{37.0 * static_cast<double>((t * 7 + i) % 25)};
+        const topo::NodeId served = manager.serve(client);
+        if (manager.route(client) != std::optional<topo::NodeId>(served)) ++disagreements;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(disagreements.load(), 0u);
+  EXPECT_EQ(manager.epoch_accesses(), kThreads * kAccessesPerThread);
 }
 
 TEST(IngestConcurrency, RecordsDuringFlushAreNotTorn) {

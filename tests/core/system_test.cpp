@@ -320,6 +320,41 @@ TEST(System, JitteredNetworkStillDeterministic) {
   EXPECT_EQ(a.second, b.second);
 }
 
+// Two data centers at identical coordinates (and so identical RTTs), with
+// the higher NodeId first in both the candidate list and the placement:
+// both selection modes read from the lower NodeId.
+TEST(System, ReplicaTiesGoToTheLowestNodeId) {
+  const Point shared{100.0, 100.0};
+  SymMatrix rtt(3);
+  rtt.set(0, 1, 0.1);
+  rtt.set(0, 2, 50.0);
+  rtt.set(1, 2, 50.0);
+  const topo::Topology topology(std::vector<topo::NodeInfo>(3), std::move(rtt), {});
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<place::CandidateInfo> twins = {{1, shared, inf}, {0, shared, inf}};
+  wl::StaticWorkload workload(std::vector<double>{0.01});
+  for (const auto selection :
+       {ReplicaSelection::kByCoordinates, ReplicaSelection::kTrueClosest}) {
+    bool checked = false;
+    for (std::uint64_t seed = 1; seed < 64 && !checked; ++seed) {
+      sim::Simulator simulator;
+      sim::Network network(simulator, topology);
+      SystemConfig config = fast_config();
+      config.epoch_ms = 1e9;  // no epoch: routing only
+      config.selection = selection;
+      ReplicationSystem system(simulator, network, twins, {2}, {Point{0.0, 0.0}}, workload, 0,
+                               config, seed);
+      if (system.manager().placement().front() != 1) continue;
+      system.run(5'000.0);
+      EXPECT_GT(system.overall_delay().count(), 0u);
+      EXPECT_FALSE(system.manager().summary_of(0).empty());
+      EXPECT_TRUE(system.manager().summary_of(1).empty());
+      checked = true;
+    }
+    EXPECT_TRUE(checked) << "no seed lists the higher node first";
+  }
+}
+
 TEST(System, RejectsMismatchedInputs) {
   SimWorld world;
   sim::Simulator simulator;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <optional>
+#include <string>
 
 #include "common/random.h"
 #include "topology/topology.h"
@@ -242,6 +245,72 @@ TEST(KvStore, PlacementEpochMigratesGroupData) {
   // Traffic accounting saw the migrations.
   EXPECT_GT(network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kMigration)],
             0u);
+}
+
+// Puts still in flight when a placement epoch migrates their group: the
+// migration snapshot is taken before they land, so unless the store forwards
+// them, the new replicas never see them and r=1 reads there stay stale
+// until the object is written again.
+TEST(KvStore, WritesInFlightAcrossMigrationReachTheNewReplicas) {
+  StoreWorld world({0, 20, 400, 600, 800, 5, 8, 11}, 5);  // clients at 5..7
+  sim::Simulator simulator;
+  sim::Network network(simulator, world.topology);
+  StoreConfig config = config_with(2, 1, 2, 2);
+  config.manager.migration.min_relative_gain = 0.01;
+  config.manager.migration.min_absolute_gain_ms = 0.1;
+  ReplicatedKvStore store(simulator, network, world.candidates, config, 12345);
+
+  std::map<ObjectId, Version> acked;
+  Rng rng(5);
+  for (int round = 0; round < 200; ++round) {
+    const auto client = static_cast<topo::NodeId>(5 + rng.below(3));
+    const ObjectId id = rng.below(40);
+    store.put(client, world.positions[client], id, std::string(1 + round % 7, 'p'),
+              [&acked, id](const PutResult& result) {
+                acked[id] = std::max(acked[id], result.version);
+              });
+  }
+  // The epoch runs before a single put has landed anywhere.
+  const auto reports = store.run_placement_epochs();
+  simulator.run();
+  bool migrated = false;
+  for (const auto& report : reports) {
+    migrated = migrated || report.adopted_placement != report.old_placement;
+  }
+  ASSERT_TRUE(migrated) << "the scenario must move at least one group";
+  ASSERT_FALSE(acked.empty());
+
+  for (const auto& [id, version] : acked) {
+    for (const auto node : store.placement_of_group(store.group_of(id))) {
+      EXPECT_GE(store.storage_at(node).read(id).version, version)
+          << "object " << id << " stale at dc" << node;
+    }
+  }
+}
+
+// Two data centers at identical coordinates: the replica a put's access is
+// recorded at and a get's r=1 target are the lower NodeId, whichever order
+// the group's placement lists them in.
+TEST(KvStore, PutAndGetTargetsTieToTheLowestNodeId) {
+  StoreWorld world({100, 100, 0}, 2);  // node 2 is the client
+  for (std::uint64_t seed = 1; seed < 64; ++seed) {
+    sim::Simulator simulator;
+    sim::Network network(simulator, world.topology);
+    ReplicatedKvStore store(simulator, network, world.candidates, config_with(2, 1, 1, 1),
+                            seed);
+    if (store.placement_of_group(0).front() != 1) continue;
+    store.put(2, world.positions[2], 7, "x", [](const PutResult&) {});
+    store.get(2, world.positions[2], 7, [](const GetResult&) {});
+    simulator.run();
+    const core::ReplicationManager& manager = store.manager_of_group(0);
+    EXPECT_EQ(manager.summary_of(0).size(), 1u);
+    EXPECT_TRUE(manager.summary_of(1).empty());
+    EXPECT_EQ(manager.epoch_accesses(), 2u);
+    EXPECT_EQ(manager.nearest_replicas(world.positions[2], 2),
+              (std::vector<topo::NodeId>{0, 1}));
+    return;
+  }
+  FAIL() << "no seed lists the higher node first";
 }
 
 TEST(KvStore, ReadRepairConvergesStaleReplicas) {

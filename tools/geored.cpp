@@ -20,6 +20,7 @@
 
 #include "common/flags.h"
 #include "common/point_set.h"
+#include "common/point_set_simd.h"
 #include "common/serialize.h"
 #include "common/significance.h"
 #include "serve/request_router.h"
@@ -596,6 +597,9 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
+    // Resolve the SIMD level up front: a bad GEORED_SIMD is a one-line
+    // error before any command runs, not a throw from deep inside one.
+    simd::active_level();
     if (command == "topogen") return cmd_topogen(args);
     if (command == "analyze") return cmd_analyze(args);
     if (command == "embed") return cmd_embed(args);

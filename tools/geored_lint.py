@@ -130,6 +130,7 @@ HOT_ALLOC_FILES = (
     "src/core/epoch_pipeline.cpp",
     "src/core/epoch_trace.h",
     "src/serve/request_router.cpp",
+    "src/serve/replica_panel.cpp",
     "src/serve/latency_histogram.h",
 )
 
