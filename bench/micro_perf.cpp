@@ -128,6 +128,9 @@ struct CaseResult {
   bool has_stages = false;
   core::EpochStageTrace stages_baseline;
   core::EpochStageTrace stages_optimized;
+  /// Share of accesses that spawned a micro-cluster (ingest_spawn_* only;
+  /// negative = not reported).
+  double spawn_share = -1.0;
 
   double speedup() const {
     return ms_optimized > 0.0 ? ms_baseline / ms_optimized : 0.0;
@@ -636,6 +639,80 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
              static_cast<double>(fast_bytes.size()), scalar_bytes == fast_bytes);
   }
 
+  // --- Micro-cluster ingest on the spawn path ------------------------------
+  // ingest_stream measures the absorb kernel alone: its sites sit well
+  // inside the absorb floor, so it almost never spawns. Here there are as
+  // many sites as the budget m, and a per-dimension spread of 2.1 puts the
+  // typical access (about 2.1 * sqrt(5) = 4.7 from its site) right at the
+  // default absorb floor of 5: about a third of accesses spawn a new
+  // micro-cluster, and nearly every spawn merges the closest pair — the
+  // regime of the end-to-end workloads (serve_steady runs m=12,
+  // fleet_replan m=32). The population depends on m only, so the spawn
+  // share is the same at every scale; the access count is two per client.
+  // xlarge is skipped: its 2 M accesses would time the same population as
+  // large, only longer, since the spawn path does not depend on clients.
+  for (const std::size_t m : {std::size_t{12}, std::size_t{32}}) {
+    const std::string name = "ingest_spawn_m" + std::to_string(m);
+    if (scale.n_clients > 100000 || !want(name.c_str())) continue;
+    constexpr double kSpawnSpread = 2.1;
+    const std::size_t n_accesses = 2 * scale.n_clients;
+    Rng spawn_rng(0x5ba30000 + m);
+    std::vector<Point> sites;
+    for (std::size_t s = 0; s < m; ++s) {
+      Point center(kDim);
+      for (std::size_t d = 0; d < kDim; ++d) center[d] = spawn_rng.uniform(-300.0, 300.0);
+      sites.push_back(center);
+    }
+    std::vector<Point> access_points;
+    std::vector<double> access_weights(n_accesses);
+    access_points.reserve(n_accesses);
+    PointSet access_batch(kDim);
+    access_batch.reserve(n_accesses);
+    for (std::size_t i = 0; i < n_accesses; ++i) {
+      Point p = sites[spawn_rng.below(m)];
+      for (std::size_t d = 0; d < kDim; ++d) p[d] += spawn_rng.normal(0.0, kSpawnSpread);
+      access_points.push_back(p);
+      access_batch.push_back(p);
+      access_weights[i] = 0.5 * static_cast<double>(i % 7 + 1);
+    }
+    cluster::SummarizerConfig sconfig;
+    sconfig.max_clusters = m;
+
+    std::vector<std::uint8_t> scalar_bytes, fast_bytes;
+    std::uint64_t absorbed = 0, spawned = 0, merged = 0;
+    ms_base = time_ms(repeats, [&] {
+      cluster::ScalarMicroClusterSummarizer summarizer(sconfig);
+      for (std::size_t i = 0; i < n_accesses; ++i) {
+        summarizer.add(access_points[i], access_weights[i]);
+      }
+      ByteWriter writer;
+      summarizer.serialize(writer);
+      scalar_bytes = writer.bytes();
+      g_sink += static_cast<double>(scalar_bytes.size());
+    });
+    ms_opt = time_ms(repeats, [&] {
+      cluster::MicroClusterSummarizer summarizer(sconfig);
+      summarizer.add_batch(access_batch, access_weights);
+      ByteWriter writer;
+      summarizer.serialize(writer);
+      fast_bytes = writer.bytes();
+      absorbed = summarizer.absorbed();
+      spawned = summarizer.spawned();
+      merged = summarizer.merged();
+      g_sink += static_cast<double>(fast_bytes.size());
+    });
+    add_case(name, ms_base, ms_opt, static_cast<double>(scalar_bytes.size()),
+             static_cast<double>(fast_bytes.size()), scalar_bytes == fast_bytes);
+    results.back().spawn_share =
+        static_cast<double>(spawned) / static_cast<double>(n_accesses);
+    std::printf("      %zu accesses: spawn share %.1f%% (absorbed %llu, spawned %llu, "
+                "merged %llu)\n",
+                n_accesses, 100.0 * results.back().spawn_share,
+                static_cast<unsigned long long>(absorbed),
+                static_cast<unsigned long long>(spawned),
+                static_cast<unsigned long long>(merged));
+  }
+
   // --- Macro clustering: scalar Lloyd vs Hamerly-accelerated ---------------
   // Warm-start solves (weighted_kmeans_from vs its scalar reference) from
   // shared deterministic initial centroids — the exact call the epoch
@@ -976,6 +1053,7 @@ void write_json(const std::string& path, std::size_t threads,
       write_stage_trace(out, "stages_baseline", r.stages_baseline);
       write_stage_trace(out, "stages_optimized", r.stages_optimized);
     }
+    if (r.spawn_share >= 0.0) out << ", \"spawn_share\": " << r.spawn_share;
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

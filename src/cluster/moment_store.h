@@ -15,7 +15,9 @@
 //
 // recomputed lazily and invalidated only when row i mutates (absorb, merge,
 // decay). The absorb test is then one fused kernel — nearest centroid scan
-// plus a cached-radius compare — with no allocation on the hot path.
+// plus a cached-radius compare — with no allocation on the hot path. The
+// merge candidates come from closest_pair(), which refreshes only the rows
+// whose centroid moved instead of rescanning every pair on each spawn.
 //
 // Every update mirrors the exact floating-point operation sequence of
 // MicroCluster (absorb/merge/scale/centroid/rms_stddev), so a summarizer
@@ -227,10 +229,23 @@ class MomentStore {
     return true;
   }
 
-  /// The closest pair of rows by centroid distance (merge candidates).
-  std::pair<std::size_t, std::size_t> closest_pair() const {
-    return centroids_.pairwise_min_distance();
-  }
+  /// The closest pair of rows by centroid distance (merge candidates):
+  /// bit-identical to centroids().pairwise_min_distance() — the strict-`<`
+  /// lexicographic first winner over all pairs a < b, NaN never winning —
+  /// without rescanning every pair. Stores of at most kTileScanRows rows
+  /// run one all-pairs scan (a register tile over the transposed shadow
+  /// with avx2() on, the scalar double loop otherwise); larger stores keep
+  /// a forward-nearest cache (see
+  /// fwd_dist_) and refresh only the rows whose centroid moved since the
+  /// last call. Non-const because it settles that cache; callers are the
+  /// add/merge paths, which already own the store exclusively. Requires at
+  /// least two rows.
+  std::pair<std::size_t, std::size_t> closest_pair();
+
+  /// Row count up to which closest_pair() runs an all-pairs scan instead
+  /// of the forward-nearest cache: at these sizes the cache's
+  /// bookkeeping costs as much as the pairs it saves.
+  static constexpr std::size_t kTileScanRows = 16;
 
   /// Merges row `b`'s moments into row `a` (exact MicroCluster::merge order)
   /// and erases row `b`. Requires a != b.
@@ -400,6 +415,7 @@ class MomentStore {
       tcol[d * t_stride_] = value;
     }
     radii_[i] = -1.0;
+    pair_state_[i] = kPairDirty;
     GEORED_DCHECK(detail::moment_row_consistent(counts_[i], weights_[i], sums_.row(i),
                                                 sum2s_.row(i), d_n),
                   "moment row inconsistent after absorb");
@@ -410,6 +426,7 @@ class MomentStore {
   /// sequence of MicroCluster::centroid). Every mutation ends here, which
   /// is what lets radius() read the mean back out of the centroid row.
   void refresh_centroid(std::size_t i) {
+    pair_state_[i] = kPairDirty;
     const auto n = static_cast<double>(counts_[i]);
     const double* sum = sums_.row(i);
     double* centroid = centroids_.mutable_row(i);
@@ -422,12 +439,29 @@ class MomentStore {
     }
   }
 
+  /// Per-row bookkeeping for a row just appended to the moment buffers:
+  /// an invalidated radius, a dirty closest-pair state, and its column in
+  /// the transposed shadow.
+  void push_row_state();
   /// Grows the transposed shadow (and rebuilds it from the centroid rows)
   /// so column `rows - 1` is addressable, then keeps both layouts in sync.
   void ensure_transposed(std::size_t rows);
-  /// Rebuilds the transposed shadow from the centroid rows (row erases
-  /// shift every later column).
+  /// Rebuilds the transposed shadow from the centroid rows after it grows.
   void rebuild_transposed();
+
+  /// Squared distances from centroid row `q` to rows [begin, size()),
+  /// written to out[begin..size()): the transposed-shadow kernel with
+  /// avx2() on, PointSet::distance_squared otherwise. Both run the same
+  /// per-dimension sequence, and (x - y)^2 == (y - x)^2 exactly, so every
+  /// value equals the one pairwise_min_distance computes for that pair.
+  void row_distances(std::size_t q, std::size_t begin, double* out) const;
+  /// Brings every forward-nearest entry up to date: dirty rows first (one
+  /// full distance row each, which also settles the entries of earlier
+  /// rows against them), then stale rows (a suffix rescan each).
+  void settle_pair_cache();
+  /// Sets row a's forward-nearest entry to the strict-`<` first winner of
+  /// dists[a + 1..size()) and marks the row clean.
+  void take_forward_winner(std::size_t a, const double* dists);
 
   /// Reused per-append staging row (component squares, initial centroid) so
   /// spawning a cluster does not allocate once warmed up.
@@ -455,6 +489,26 @@ class MomentStore {
   std::vector<double> centroids_t_;
   std::size_t t_stride_ = 0;
   std::vector<double> scratch_;
+
+  // Forward-nearest cache behind closest_pair() on stores larger than
+  // kTileScanRows. Invariant for every clean row a (pair_state_ ==
+  // kPairClean): fwd_dist_[a] / fwd_arg_[a] is the strict-`<` first winner
+  // of d(a, b) over b > a, starting from +inf (so +inf and NaN never win
+  // and fwd_arg_ is meaningless while fwd_dist_ is +inf). A strict-`<` scan
+  // over fwd_dist_ then picks the same lexicographic first pair as the
+  // all-pairs double loop. Every mutation keeps the states honest, so the
+  // all-pairs regime leaves pending work behind, never wrong entries.
+  static constexpr std::uint8_t kPairClean = 0;
+  /// The row's forward entry is out of date (its partner moved away or was
+  /// erased): rescan its suffix.
+  static constexpr std::uint8_t kPairStale = 1;
+  /// The row's centroid changed: recompute its whole distance row.
+  static constexpr std::uint8_t kPairDirty = 2;
+  std::vector<std::uint8_t> pair_state_;
+  std::vector<double> fwd_dist_;
+  std::vector<std::size_t> fwd_arg_;
+  /// Reused distance row for settle_pair_cache.
+  std::vector<double> pair_dists_;
 };
 
 }  // namespace geored::cluster

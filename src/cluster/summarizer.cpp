@@ -40,6 +40,7 @@ void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const d
   std::size_t i = 0;
   if (store_.empty()) {
     store_.append_singleton(coords.row(0), dim, weights.empty() ? 1.0 : weights[0]);
+    ++spawned_;
     i = 1;
   }
   GEORED_ENSURE(dim == store_.dim(), "dimension mismatch in add");
@@ -81,12 +82,13 @@ __attribute__((target("avx2"), flatten)) void MicroClusterSummarizer::ingest_bat
     const double weight = weights.empty() ? 1.0 : weights[i];
     // ingest_row's body, spelled out so every callee is an inline candidate
     // in this AVX2 context.
-    if (store_.try_absorb(coords.row(i), weight)) continue;
-    store_.append_singleton(coords.row(i), dim, weight);
-    if (store_.size() > config_.max_clusters) {
-      const auto [best_a, best_b] = store_.closest_pair();
-      store_.merge_rows(best_a, best_b);
+    if (store_.try_absorb(coords.row(i), weight)) {
+      ++absorbed_;
+      continue;
     }
+    store_.append_singleton(coords.row(i), dim, weight);
+    ++spawned_;
+    merge_over_budget();
     GEORED_DCHECK(store_.size() <= config_.max_clusters,
                   "summarizer exceeded its micro-cluster budget after add");
   }
@@ -100,6 +102,7 @@ void MicroClusterSummarizer::add_row(const double* coords, std::size_t dim, doub
   ++total_count_;
   if (store_.empty()) {
     store_.append_singleton(coords, dim, weight);
+    ++spawned_;
     return;
   }
   GEORED_ENSURE(dim == store_.dim(), "dimension mismatch in add");
@@ -110,15 +113,24 @@ void MicroClusterSummarizer::ingest_row(const double* coords, std::size_t dim, d
   // The paper's rule, fused: absorb when the client is within the nearest
   // cluster's cached radius (max of the configured floor and the scaled
   // stddev), otherwise spawn and merge the closest pair over budget.
-  if (store_.try_absorb(coords, weight)) return;
-
-  store_.append_singleton(coords, dim, weight);
-  if (store_.size() > config_.max_clusters) {
-    const auto [best_a, best_b] = store_.closest_pair();
-    store_.merge_rows(best_a, best_b);
+  if (store_.try_absorb(coords, weight)) {
+    ++absorbed_;
+    return;
   }
+  store_.append_singleton(coords, dim, weight);
+  ++spawned_;
+  merge_over_budget();
   GEORED_DCHECK(store_.size() <= config_.max_clusters,
                 "summarizer exceeded its micro-cluster budget after add");
+}
+
+void MicroClusterSummarizer::merge_over_budget() {
+  if (store_.size() <= config_.max_clusters) return;
+  const auto pair = store_.closest_pair();
+  GEORED_DCHECK(pair == store_.centroids().pairwise_min_distance(),
+                "incremental closest pair diverged from PointSet::pairwise_min_distance");
+  store_.merge_rows(pair.first, pair.second);
+  ++merged_;
 }
 
 void MicroClusterSummarizer::merge_cluster(const MicroCluster& cluster) {
@@ -126,10 +138,7 @@ void MicroClusterSummarizer::merge_cluster(const MicroCluster& cluster) {
   cache_valid_ = false;
   total_count_ += cluster.count();
   store_.append_moments(cluster);
-  if (store_.size() > config_.max_clusters) {
-    const auto [best_a, best_b] = store_.closest_pair();
-    store_.merge_rows(best_a, best_b);
-  }
+  merge_over_budget();
   GEORED_DCHECK(store_.size() <= config_.max_clusters,
                 "summarizer exceeded its micro-cluster budget after merge_cluster");
 }
@@ -154,6 +163,9 @@ void MicroClusterSummarizer::clear() {
   clusters_cache_.clear();
   cache_valid_ = false;
   total_count_ = 0;
+  absorbed_ = 0;
+  spawned_ = 0;
+  merged_ = 0;
 }
 
 void write_clusters(ByteWriter& writer, const std::vector<MicroCluster>& clusters) {

@@ -79,6 +79,15 @@ class MicroClusterSummarizer {
   /// Total accesses summarized since construction or the last clear().
   std::uint64_t total_count() const { return total_count_; }
 
+  /// How accesses since construction or the last clear() were handled:
+  /// absorbed into the nearest micro-cluster, or spawned a new one (every
+  /// access does exactly one of the two); and how many over-budget merges
+  /// of the closest pair followed, from spawns or merge_cluster. Plain
+  /// deterministic counters — not part of the wire format.
+  std::uint64_t absorbed() const { return absorbed_; }
+  std::uint64_t spawned() const { return spawned_; }
+  std::uint64_t merged() const { return merged_; }
+
   /// Exponentially decays all cluster counts/weights (see
   /// SummarizerConfig::epoch_decay); clusters decayed below one access are
   /// dropped. Called at placement-epoch boundaries so old populations fade.
@@ -105,6 +114,9 @@ class MicroClusterSummarizer {
   /// The absorb-or-spawn core shared by add_row and add_batch, after the
   /// caller has validated the weight and handled the empty-store bootstrap.
   void ingest_row(const double* coords, std::size_t dim, double weight);
+  /// Merges the closest pair of micro-clusters when the store exceeds the
+  /// budget m (after a spawn or merge_cluster).
+  void merge_over_budget();
 #if defined(__x86_64__)
   /// ingest_row over rows [begin, n) of a batch, compiled as one AVX2
   /// function. GCC cannot inline a target("avx2") callee into a baseline
@@ -124,6 +136,9 @@ class MicroClusterSummarizer {
   mutable std::vector<MicroCluster> clusters_cache_;
   mutable bool cache_valid_ = false;
   std::uint64_t total_count_ = 0;
+  std::uint64_t absorbed_ = 0;
+  std::uint64_t spawned_ = 0;
+  std::uint64_t merged_ = 0;
 };
 
 }  // namespace geored::cluster

@@ -1,10 +1,10 @@
 #include "common/thread_pool.h"
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "common/ensure.h"
+#include "common/env.h"
 
 namespace geored {
 
@@ -107,16 +107,11 @@ void ThreadPool::worker_loop() {
 }
 
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("GEORED_THREADS")) {
-    try {
-      const long long parsed = std::stoll(env);
-      // Parsed values clamp to [1, 1024]; only unparsable strings fall
-      // through to the hardware default.
-      if (parsed < 1) return 1;
-      return static_cast<std::size_t>(parsed > 1024 ? 1024 : parsed);
-    } catch (const std::exception&) {
-      // Unparsable values fall through to the hardware default.
-    }
+  // Integers clamp to [1, 1024]; anything else throws (env_int) rather than
+  // silently running at the hardware default.
+  if (const auto parsed = env_int("GEORED_THREADS")) {
+    if (*parsed < 1) return 1;
+    return static_cast<std::size_t>(*parsed > 1024 ? 1024 : *parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

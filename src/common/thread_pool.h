@@ -66,7 +66,8 @@ class ThreadPool {
       GEORED_EXCLUDES(mutex_);
 
   /// GEORED_THREADS environment override if set (clamped to [1, 1024]),
-  /// otherwise std::thread::hardware_concurrency() (at least 1).
+  /// otherwise std::thread::hardware_concurrency() (at least 1). A value
+  /// that is not an integer throws std::invalid_argument (common/env.h).
   static std::size_t default_thread_count();
 
   /// True while the calling thread is executing a run_chunks chunk (on any

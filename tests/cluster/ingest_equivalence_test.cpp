@@ -50,7 +50,10 @@ struct Stream {
 
   explicit Stream(std::uint64_t seed, std::size_t n_accesses = 400) {
     Rng rng(seed);
-    config.max_clusters = 1 + rng.below(12);
+    // Up to the fleet_replan budget (m=32) and past it, so byte pins also
+    // cover the forward-nearest closest-pair cache and the SIMD regime of
+    // pairwise_min_distance (32+ rows).
+    config.max_clusters = 1 + rng.below(64);
     config.min_absorb_radius = rng.uniform(0.0, 15.0);
     config.radius_factor = rng.uniform(0.25, 3.0);
     config.epoch_decay = rng.uniform(0.05, 1.0);

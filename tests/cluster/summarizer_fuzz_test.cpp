@@ -13,9 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "cluster/summarizer.h"
+#include "common/env.h"
 #include "common/random.h"
 #include "common/serialize.h"
 
@@ -153,10 +153,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SummarizerFuzz,
 // Runtime-tunable extended sweep, mirroring PlacementFuzzBudget: CI's
 // sanitizer job raises GEORED_FUZZ_ITERS for a deeper hunt.
 TEST(SummarizerFuzzBudget, ExtendedRandomSweep) {
-  std::uint64_t iters = 5;
-  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) {
-    iters = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t iters = env_count("GEORED_FUZZ_ITERS", 5);
   for (std::uint64_t seed = 1000; seed < 1000 + iters; ++seed) {
     run_summarizer_fuzz(seed);
     if (::testing::Test::HasFatalFailure()) return;

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "cluster/summarizer.h"
+#include "common/env.h"
 #include "common/random.h"
 #include "common/serialize.h"
 
@@ -142,10 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range<std::uint64_t>(1, 11)
 // Runtime-tunable extended sweep, mirroring SummarizerFuzzBudget: CI's
 // sanitizer job raises GEORED_FUZZ_ITERS for a deeper hunt.
 TEST(WireFuzzBudget, ExtendedRandomSweep) {
-  std::uint64_t iters = 5;
-  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) {
-    iters = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t iters = env_count("GEORED_FUZZ_ITERS", 5);
   for (std::uint64_t seed = 2000; seed < 2000 + iters; ++seed) {
     run_bitflip_fuzz(seed);
     run_garbage_fuzz(seed);

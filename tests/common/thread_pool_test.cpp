@@ -30,8 +30,13 @@ TEST(ThreadPool, DefaultThreadCountReadsEnvironment) {
   EXPECT_EQ(ThreadPool::default_thread_count(), 1u);
   ::setenv("GEORED_THREADS", "999999", 1);  // clamped down to 1024
   EXPECT_EQ(ThreadPool::default_thread_count(), 1024u);
-  ::setenv("GEORED_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);  // falls back to hardware
+  // Garbage is an error, never a silent fallback to the hardware count.
+  for (const char* bad : {"not-a-number", "4x", " 4", "4.0", "0x10"}) {
+    ::setenv("GEORED_THREADS", bad, 1);
+    EXPECT_THROW(ThreadPool::default_thread_count(), std::invalid_argument) << bad;
+  }
+  ::setenv("GEORED_THREADS", "", 1);  // empty reads as unset
+  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
   ::unsetenv("GEORED_THREADS");
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
 }

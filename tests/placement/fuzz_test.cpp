@@ -4,10 +4,10 @@
 // weights, tiny and large k, with and without summaries.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 
 #include "cluster/summarizer.h"
+#include "common/env.h"
 #include "common/random.h"
 #include "placement/evaluate.h"
 #include "placement/strategy.h"
@@ -125,10 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlacementFuzz,
 // extra pass beyond the fixed seed range above. Seeds start at 1000 so the
 // two sweeps never overlap.
 TEST(PlacementFuzzBudget, ExtendedRandomSweep) {
-  std::uint64_t iters = 10;
-  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) {
-    iters = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t iters = env_count("GEORED_FUZZ_ITERS", 10);
   for (std::uint64_t seed = 1000; seed < 1000 + iters; ++seed) {
     run_fuzz_case(seed);
     if (::testing::Test::HasFatalFailure()) return;

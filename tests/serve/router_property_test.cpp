@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <vector>
 
+#include "common/env.h"
 #include "common/point.h"
 #include "common/point_set.h"
 #include "common/random.h"
@@ -235,10 +235,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz, ::testing::Range<std::uint64_t>(1, 1
 // Extended sweep whose budget scales with GEORED_FUZZ_ITERS (default keeps
 // CI fast; nightly runs crank it up).
 TEST(RouterFuzzBudget, ExtendedRandomSweep) {
-  std::uint64_t iters = 5;
-  if (const char* env = std::getenv("GEORED_FUZZ_ITERS")) {
-    iters = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t iters = env_count("GEORED_FUZZ_ITERS", 5);
   for (std::uint64_t seed = 1000; seed < 1000 + iters; ++seed) {
     run_router_sweep(seed);
     if (::testing::Test::HasFatalFailure()) return;

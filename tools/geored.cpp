@@ -23,6 +23,7 @@
 #include "common/point_set_simd.h"
 #include "common/serialize.h"
 #include "common/significance.h"
+#include "common/thread_pool.h"
 #include "serve/request_router.h"
 #include "workload/workload.h"
 #include "core/evaluation.h"
@@ -597,9 +598,11 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    // Resolve the SIMD level up front: a bad GEORED_SIMD is a one-line
-    // error before any command runs, not a throw from deep inside one.
+    // Resolve the SIMD level and thread count up front: a bad GEORED_SIMD
+    // or GEORED_THREADS is a one-line error before any command runs, not a
+    // throw from deep inside one.
     simd::active_level();
+    ThreadPool::default_thread_count();
     if (command == "topogen") return cmd_topogen(args);
     if (command == "analyze") return cmd_analyze(args);
     if (command == "embed") return cmd_embed(args);
