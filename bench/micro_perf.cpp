@@ -29,6 +29,7 @@
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/replication_manager.h"
+#include "placement/assign.h"
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
@@ -910,21 +911,33 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         core::DirectCollector collector;
         collected = collector.collect(sources, {world.candidates, scale.k, derived_seed});
       }
-      // (3) Macro-clustering proposal through the frozen scalar solver (via
-      // the pipeline proposer stage; its warm-start cache is empty on a
-      // fresh epoch, exactly like the manager's own epoch 0).
+      // (3) Macro-clustering proposal (Algorithm 1) through the frozen
+      //     scalar solver. A fresh epoch has no warm-start centroids, exactly
+      //     like the manager's own epoch 0, so the cold solve is the whole
+      //     proposal.
       Placement proposed;
       {
         const core::StageTimer timer(tr.propose_ms);
-        place::OnlineClusteringConfig pconfig = mconfig.strategy;
-        pconfig.use_scalar_solver = true;
-        place::PlacementInput input;
-        input.candidates = world.candidates;
-        input.k = scale.k;
-        input.summaries = collected.summaries;
-        input.seed = derived_seed;
-        core::ClusteringProposer proposer(pconfig);
-        proposed = proposer.propose(input);
+        const place::OnlineClusteringConfig& pconfig = mconfig.strategy;
+        std::vector<cluster::WeightedPoint> pseudo_points;
+        for (const auto& micro : collected.summaries) {
+          if (micro.count() == 0) continue;
+          const double weight = pconfig.weigh_by_data_volume
+                                    ? micro.weight()
+                                    : static_cast<double>(micro.count());
+          if (weight > 0.0) pseudo_points.push_back({micro.centroid(), weight});
+        }
+        cluster::KMeansConfig kconfig = pconfig.kmeans;
+        kconfig.k = std::min(scale.k, world.candidates.size());
+        Rng rng(derived_seed);
+        const auto solved = cluster::weighted_kmeans_scalar(pseudo_points, kconfig, rng);
+        std::vector<double> mass(solved.centroids.size(), 0.0);
+        for (std::size_t i = 0; i < pseudo_points.size(); ++i) {
+          mass[solved.assignment[i]] += pseudo_points[i].weight;
+        }
+        proposed = place::assign_centroids_to_candidates(
+            solved.centroids, mass, world.candidates, kconfig.k, derived_seed,
+            pconfig.load_aware ? &mass : nullptr);
       }
       // (4) Migration gate on the scalar delay estimates.
       core::MigrationDecision decision;

@@ -6,7 +6,7 @@ namespace geored::core {
 
 double trace_now_ms() {
   // The one non-net translation unit allowed to read the wall clock (see
-  // tools/geored_lint.py CLOCK_ALLOWLIST_FILES): stage traces need
+  // the wall-clock allowlist in tools/geored_lint.py): stage traces need
   // sub-millisecond resolution, which the injected net::Clock interface
   // deliberately does not offer, and nothing deterministic consumes the
   // result.

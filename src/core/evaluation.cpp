@@ -1,13 +1,12 @@
 #include "core/evaluation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "common/ensure.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/epoch_pipeline.h"
 #include "placement/evaluate.h"
 #include "sim/network.h"
@@ -137,8 +136,8 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
   const auto access_stream = wl::interleave_access_stream(access_counts, rng);
   const auto batches = wl::batch_by_server(access_stream, closest_initial, client_points,
                                            initial_placement.size());
-  // Sequential per-replica ingest: run_experiment already parallelizes
-  // across runs with raw threads, so nesting pool work here is off-limits.
+  // Sequential per-replica ingest: run_experiment already spreads whole
+  // runs over the pool.
   for (std::size_t r = 0; r < batches.size(); ++r) {
     summarizers[r].add_batch(batches[r].coords, batches[r].weights);
   }
@@ -204,8 +203,7 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
 ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& config) {
   GEORED_ENSURE(config.runs >= 1, "experiment needs at least one run");
   GEORED_ENSURE(!config.strategies.empty(), "experiment needs at least one strategy");
-  // Validate the collector name up front: an unknown name must throw here,
-  // on the caller's thread, not inside a worker.
+  // Validate the collector name up front, before any run starts.
   {
     const auto names = collector_names();
     GEORED_ENSURE(std::find(names.begin(), names.end(), config.collector) != names.end(),
@@ -217,45 +215,17 @@ ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& 
     result.outcomes[s].kind = config.strategies[s];
     result.outcomes[s].name = place::strategy_name(config.strategies[s]);
   }
-  // Per-run results land in a fixed slot, so any thread count produces the
+  // Runs go to the global pool, one contiguous range of run indices per
+  // chunk. run_once allocates all of its scratch (summarizers, simulators,
+  // per-run RPC servers) per call and its own pool work runs inline inside
+  // the chunk, so the fixed per-run slots make any pool size produce the
   // identical outcome.
-  //
-  // Concurrency contract of the fan-out below: this is the library's one
-  // sanctioned raw-std::thread site outside the pool and the RPC server.
-  // Workers share only the atomic run counter and the slot-disjoint per_run
-  // vector, so no capability (common/sync.h) is needed — there is no guarded
-  // state. run_once itself allocates all scratch (summarizers, simulators,
-  // per-run RPC servers) per call, never reusing it across runs, which is
-  // what makes the slots independent. Workers may still reach parallel_for
-  // (e.g. the rpc collector's fetch fan-out); the global pool serializes
-  // whole tasks, so concurrent run_chunks from two workers is rejected by
-  // the pool's busy check rather than silently interleaved — callers that
-  // combine threads > 1 with a pool-using collector must set
-  // GEORED_THREADS=1 (the pool then runs inline on each worker).
   std::vector<std::vector<double>> per_run(config.runs);
-  std::size_t threads = config.threads == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : config.threads;
-  threads = std::min(threads, config.runs);
-  if (threads <= 1) {
-    for (std::size_t r = 0; r < config.runs; ++r) {
+  parallel_for(config.runs, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
       per_run[r] = run_once(env, config, config.base_seed + r);
     }
-  } else {
-    std::atomic<std::size_t> next_run{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        while (true) {
-          const std::size_t r = next_run.fetch_add(1);
-          if (r >= config.runs) break;
-          per_run[r] = run_once(env, config, config.base_seed + r);
-        }
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
+  });
   for (std::size_t r = 0; r < config.runs; ++r) {
     for (std::size_t s = 0; s < per_run[r].size(); ++s) {
       result.outcomes[s].per_run_delay_ms.push_back(per_run[r][s]);

@@ -85,11 +85,6 @@ struct ExperimentConfig {
   /// retry budget). Defaults give a clean wire.
   net::RpcCollectorConfig rpc;
 
-  /// Worker threads running independent runs concurrently. Results are
-  /// bit-identical for any thread count (run r always uses base_seed + r
-  /// and results are collected by run index). 0 = hardware concurrency.
-  std::size_t threads = 1;
-
   std::vector<place::StrategyKind> strategies = {
       place::StrategyKind::kRandom, place::StrategyKind::kOfflineKMeans,
       place::StrategyKind::kOnlineClustering, place::StrategyKind::kOptimal};
@@ -110,7 +105,10 @@ struct ExperimentResult {
   const StrategyOutcome& outcome_of(place::StrategyKind kind) const;
 };
 
-/// Runs the full multi-run experiment. Deterministic in (env, config).
+/// Runs the full multi-run experiment. Deterministic in (env, config): the
+/// runs are spread over the global ThreadPool (GEORED_THREADS), but run r
+/// always uses base_seed + r and lands in slot r, so the result is
+/// bit-identical at any pool size. An error in any run is rethrown here.
 ExperimentResult run_experiment(const Environment& env, const ExperimentConfig& config);
 
 /// Convenience overload that builds a default RNP environment internally.

@@ -5,8 +5,8 @@
 // touching std::chrono directly, so tests can substitute a VirtualClock and
 // run the whole retry/backoff state machine instantaneously and
 // deterministically. SystemClock (implemented in clock.cpp, the one net/
-// translation unit allowed to call the real clock — enforced by
-// tools/lint_conventions.py) is what production transports run on.
+// translation unit allowed to call the real clock — enforced by the
+// tools/geored_lint.py wall-clock rule) is what production transports run on.
 #pragma once
 
 #include <atomic>

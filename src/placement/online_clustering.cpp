@@ -34,9 +34,7 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
   cluster::KMeansConfig config = config_.kmeans;
   config.k = std::min(input.k, input.candidates.size());
   Rng rng(input.seed);
-  auto result = config_.use_scalar_solver
-                    ? cluster::weighted_kmeans_scalar(pseudo_points, config, rng)
-                    : cluster::weighted_kmeans(pseudo_points, config, rng);
+  auto result = cluster::weighted_kmeans(pseudo_points, config, rng);
 
   // Warm start: if the previous epoch's centroids explain today's data
   // nearly as well (within the tolerance), prefer them — placements stay
@@ -44,11 +42,8 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
   if (config_.warm_start_centroids.size() == config.k &&
       config_.warm_start_centroids.front().dim() ==
           pseudo_points.front().position.dim()) {
-    auto warm = config_.use_scalar_solver
-                    ? cluster::weighted_kmeans_from_scalar(
-                          pseudo_points, config_.warm_start_centroids, config)
-                    : cluster::weighted_kmeans_from(pseudo_points,
-                                                    config_.warm_start_centroids, config);
+    auto warm =
+        cluster::weighted_kmeans_from(pseudo_points, config_.warm_start_centroids, config);
     if (warm.objective <= result.objective * (1.0 + config_.warm_start_tolerance)) {
       result = std::move(warm);
     }

@@ -32,14 +32,6 @@ struct OnlineClusteringConfig {
   /// the seeding randomness, while real population shifts still win.
   std::vector<Point> warm_start_centroids;
   double warm_start_tolerance = 0.02;
-
-  /// Route the solves through the frozen scalar k-means references
-  /// (weighted_kmeans_scalar / weighted_kmeans_from_scalar) instead of the
-  /// accelerated solvers. The references are bit-identical by contract, so
-  /// this changes wall time only — it exists for the re-armed
-  /// epoch_end_to_end bench baseline and equivalence tests, never for
-  /// production configs.
-  bool use_scalar_solver = false;
 };
 
 /// place() plus the macro-cluster centroids behind the decision (callers

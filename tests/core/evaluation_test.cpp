@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/thread_pool.h"
+
 namespace geored::core {
 namespace {
 
@@ -16,6 +20,11 @@ const Environment& shared_env() {
   }();
   return env;
 }
+
+/// Restores the global pool to its default size when a test exits.
+struct GlobalPoolGuard {
+  ~GlobalPoolGuard() { ThreadPool::set_global_thread_count(0); }
+};
 
 ExperimentConfig quick_config() {
   ExperimentConfig config;
@@ -128,8 +137,12 @@ TEST(Evaluation, RejectsInvalidConfigs) {
   config.strategies.clear();
   EXPECT_THROW(run_experiment(shared_env(), config), std::invalid_argument);
   config = quick_config();
-  config.num_datacenters = 1000;  // more than nodes
-  EXPECT_THROW(run_experiment(shared_env(), config), std::invalid_argument);
+  config.num_datacenters = 1000;  // more than nodes: every run throws
+  const GlobalPoolGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_thread_count(threads);  // pooled runs rethrow to the caller
+    EXPECT_THROW(run_experiment(shared_env(), config), std::invalid_argument);
+  }
 }
 
 TEST(Evaluation, OutcomeLookupByKind) {
@@ -142,17 +155,21 @@ TEST(Evaluation, OutcomeLookupByKind) {
 }
 
 TEST(Evaluation, ParallelRunsAreBitIdenticalToSerial) {
-  ExperimentConfig serial = quick_config();
-  serial.runs = 8;
-  serial.threads = 1;
-  ExperimentConfig parallel = serial;
-  parallel.threads = 4;
-  const auto a = run_experiment(shared_env(), serial);
-  const auto b = run_experiment(shared_env(), parallel);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
-    EXPECT_EQ(a.outcomes[s].per_run_delay_ms, b.outcomes[s].per_run_delay_ms)
-        << a.outcomes[s].name;
+  // Runs spread over the global pool; each run's own pool work (the rpc
+  // collector's fetch fan-out, the evaluators) runs inline in its chunk.
+  const GlobalPoolGuard guard;
+  for (const std::string collector : {"direct", "rpc"}) {
+    ExperimentConfig config = quick_config();
+    config.collector = collector;
+    ThreadPool::set_global_thread_count(1);
+    const auto serial = run_experiment(shared_env(), config);
+    ThreadPool::set_global_thread_count(4);
+    const auto parallel = run_experiment(shared_env(), config);
+    ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
+    for (std::size_t s = 0; s < serial.outcomes.size(); ++s) {
+      EXPECT_EQ(serial.outcomes[s].per_run_delay_ms, parallel.outcomes[s].per_run_delay_ms)
+          << collector << " / " << serial.outcomes[s].name;
+    }
   }
 }
 

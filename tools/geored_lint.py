@@ -1,60 +1,69 @@
 #!/usr/bin/env python3
-"""Concurrency & determinism lint for geored's library sources.
+"""Repo lint for geored: API conventions, concurrency and determinism.
 
-Where lint_conventions.py enforces API idioms, this pass enforces the
-invariants the capability annotations (common/sync.h) and the determinism
-contract rest on. Checks, over src/:
+One rule table drives every check. A rule has a name, a pattern matched
+against each comment/string-stripped line (or a whole-file finder), a scope,
+path allowlists, and optionally a `// lint: ...` marker that suppresses a
+finding on its line. Every rule covers the library (src/); the rules marked
+[drivers] also cover bench/, examples/ and the CLI (tools/geored.cpp):
+drivers ship alongside the library and must model its idioms — a raw assert
+in an example teaches users the wrong pattern, and an unseeded RNG in a
+bench makes its numbers unreproducible. The rest stay src/-only:
+entry-point validation is a library-API contract, and bench timing loops and
+harnesses legitimately read the real clock and start threads.
 
-  1. naked-sync        No raw std::mutex / std::condition_variable (or the
-                       std lock adapters) outside src/common/sync.h. Every
-                       lock must be a capability-annotated geored::Mutex so
-                       Clang's thread-safety analysis sees it; a naked mutex
-                       is invisible to -Werror=thread-safety and silently
-                       re-opens the class of bugs the annotations closed.
-                       Suppress a deliberate wrapping site with a trailing
-                       `// lint: naked-sync-ok`.
-  2. wall-clock        No <chrono> clock reads, sleep_for/sleep_until, or
-                       POSIX time calls anywhere in src/ except the
-                       SystemClock implementation (src/net/clock.cpp and its
-                       header). All time flows through the injected
-                       net::Clock so fault schedules, backoff, and delay
-                       faults replay deterministically. Extends the old
-                       net-only rule to the whole library. Suppress with
-                       `// lint: wall-clock-ok`.
-  3. unseeded-rng      No rand()/srand(), std::mt19937, std::random_device,
-                       or std::default_random_engine outside
-                       src/common/random.*: every random stream flows
-                       through geored::Rng, seeded explicitly.
-  4. unordered-iter    No range-for over an unordered container unless the
-                       line carries `// lint: unordered-iter-ok`. Hash-order
-                       iteration feeding a serialized or reported path makes
-                       output depend on the allocator; the suppression
-                       comment is the author's assertion that the loop is an
-                       order-insensitive reduction or that the result is
-                       sorted before it escapes.
-  5. run-chunks        No direct ThreadPool::run_chunks call outside
-                       src/common/thread_pool.*: callers use parallel_for /
-                       parallel_reduce_sum, which run nested calls inline.
-                       A direct run_chunks from inside a chunk body deadlocks
-                       the pool on itself (the workers are already committed
-                       to the outer task). Suppress a sanctioned driver with
-                       `// lint: run-chunks-ok`.
-  6. hot-alloc         No std::vector construction inside the hot kernel
-                       files (the distance kernels, k-means, the evaluators,
-                       the summarizer ingest path): per-call scratch there
-                       goes through the epoch arena (common/arena.h) or a
-                       reused buffer, so allocation regressions cannot sneak
-                       back into the million-client paths. Deliberate sites
-                       (cold wire paths, the frozen scalar references,
-                       results that escape the call) carry
-                       `// lint: alloc-ok`.
+  no-raw-assert    [drivers] No raw `assert(...)`: invariants use
+                   GEORED_ENSURE / GEORED_CHECK / GEORED_DCHECK so they throw
+                   typed exceptions instead of aborting.
+  unseeded-rng     [drivers] No rand()/srand(), std::mt19937,
+                   std::random_device, std::default_random_engine or
+                   std::minstd_rand outside src/common/random.*: every random
+                   stream flows through geored::Rng, seeded explicitly.
+  pragma-once      [drivers] Every header has `#pragma once`.
+  registry-only    [drivers] No direct OnlineClusteringPlacement construction
+                   outside src/placement/ and the pipeline factory
+                   (src/core/epoch_pipeline.cpp): callers go through
+                   place::make_strategy("online") or make_collector so every
+                   decision rule stays registry-addressable.
+  ensure-on-entry  Public entry points (non-static free functions and public
+                   methods defined in .cpp files) that take a size/index-like
+                   parameter validate it with GEORED_ENSURE (or delegate to a
+                   validate_* helper). Suppress: `// lint: no-ensure` on the
+                   signature line.
+  naked-sync       No raw std::mutex / std::condition_variable (or the std
+                   lock adapters) outside src/common/sync.h: every lock is a
+                   capability-annotated geored::Mutex so Clang's
+                   thread-safety analysis sees it. Suppress:
+                   `// lint: naked-sync-ok`.
+  wall-clock       No <chrono> clock reads, sleeps or POSIX time calls outside
+                   SystemClock (src/net/clock.cpp) and the observational
+                   epoch-stage timer (src/core/epoch_trace.cpp): all time
+                   flows through the injected net::Clock so fault schedules,
+                   backoff and delay faults replay deterministically.
+  raw-thread       No std::thread / std::jthread / pthread_create outside the
+                   ThreadPool (src/common/thread_pool.*) and the RPC server
+                   (src/net/rpc_collector.cpp): data parallelism goes through
+                   parallel_for / parallel_reduce_sum, so a second
+                   parallelism mechanism cannot come back.
+  unordered-iter   No range-for over an unordered container: hash order must
+                   not reach serialized or reported output. Suppress (the
+                   loop is an order-insensitive reduction, or its result is
+                   sorted): `// lint: unordered-iter-ok`.
+  run-chunks       No direct ThreadPool::run_chunks call outside
+                   src/common/thread_pool.*: parallel_for /
+                   parallel_reduce_sum run nested calls inline, while a direct
+                   run_chunks inside a chunk deadlocks the pool on itself.
+                   Suppress: `// lint: run-chunks-ok`.
+  hot-alloc        No std::vector construction in the hot kernel files:
+                   per-call scratch there goes through the epoch arena
+                   (common/arena.h) or a reused buffer. Suppress (cold paths,
+                   frozen scalar references, escaping results):
+                   `// lint: alloc-ok`.
 
-The pass is AST-aware when libclang's Python bindings are importable (it
-then classifies tokens by cursor kind, so declarations in comments or
-strings can never false-positive) and falls back to a comment/string-
-stripping regex scan otherwise. Both modes enforce the same rules; CI runs
-whichever the runner provides, and the regex mode is authoritative for the
-exit status either way.
+The pass is AST-aware over src/ when libclang's Python bindings are
+importable (it then classifies tokens by cursor kind, so declarations in
+comments or strings can never false-positive); the regex pass always runs and
+is authoritative for the exit status.
 
 Exit status is 0 when clean, 1 when any violation is found, 2 on usage
 errors (including finding zero files to lint — a silently-empty run would
@@ -67,118 +76,12 @@ from __future__ import annotations
 import pathlib
 import re
 import sys
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 # ---------------------------------------------------------------------------
-# Rules (shared by both modes)
+# Source text
 # ---------------------------------------------------------------------------
-
-NAKED_SYNC = re.compile(
-    r"\bstd::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
-    r"|shared_mutex|shared_timed_mutex"
-    r"|condition_variable|condition_variable_any"
-    r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b"
-    r"|#\s*include\s*<(?:mutex|condition_variable|shared_mutex)>"
-)
-SYNC_ALLOWLIST_FILES = ("src/common/sync.h",)
-
-WALL_CLOCK = re.compile(
-    r"#\s*include\s*<chrono>"
-    r"|\bstd::chrono\b|\bsteady_clock\b|\bsystem_clock\b|\bhigh_resolution_clock\b"
-    r"|\bsleep_for\b|\bsleep_until\b|\bthis_thread\s*::\s*sleep"
-    r"|\bgettimeofday\s*\(|\bclock_gettime\s*\(|\bnanosleep\s*\(|\busleep\s*\("
-    r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
-)
-CLOCK_ALLOWLIST_FILES = (
-    "src/net/clock.cpp",
-    "src/net/clock.h",
-    # Epoch stage tracing is observational-only wall time at sub-ms
-    # resolution; nothing deterministic consumes it (core/epoch_trace.h).
-    "src/core/epoch_trace.cpp",
-)
-
-UNSEEDED_RNG = re.compile(
-    r"(?<!_)\b(?:s?rand)\s*\("
-    r"|\bstd::(?:mt19937(?:_64)?|random_device|default_random_engine|minstd_rand0?)\b"
-)
-RNG_ALLOWLIST_PREFIXES = ("src/common/random",)
-
-# A range-for whose range expression names an unordered container: either the
-# expression contains `unordered_` itself, or it is an identifier declared
-# with an unordered type elsewhere in the same file (collected per file).
-RANGE_FOR = re.compile(r"\bfor\s*\(\s*(?:const\s+)?[^;:)]*?:\s*(?P<range>[^)]+)\)")
-UNORDERED_DECL = re.compile(
-    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(?P<name>\w+)\s*[;={(]"
-)
-
-RUN_CHUNKS = re.compile(r"\brun_chunks\s*\(")
-RUN_CHUNKS_ALLOWLIST_PREFIXES = ("src/common/thread_pool",)
-
-# A std::vector variable declaration (with or without constructor args) or a
-# vector temporary. References and qualified-name function definitions do
-# not match: only constructions that allocate per call.
-HOT_ALLOC = re.compile(
-    r"\bstd::vector\s*<[^;()]*?>\s+\w+\s*[;({=]"  # local / member declaration
-    r"|\bstd::vector\s*<[^;()]*?>\s*[({]"  # temporary
-)
-HOT_ALLOC_FILES = (
-    "src/common/point_set.cpp",
-    "src/common/point_set_simd.cpp",
-    "src/cluster/kmeans.cpp",
-    "src/cluster/moment_store.cpp",
-    "src/cluster/summarizer.cpp",
-    "src/placement/evaluate.cpp",
-    "src/core/epoch_pipeline.cpp",
-    "src/core/epoch_trace.h",
-    "src/serve/request_router.cpp",
-    "src/serve/replica_panel.cpp",
-    "src/serve/latency_histogram.h",
-)
-
-SUPPRESSIONS = {
-    "naked-sync": "lint: naked-sync-ok",
-    "wall-clock": "lint: wall-clock-ok",
-    "unordered-iter": "lint: unordered-iter-ok",
-    "run-chunks": "lint: run-chunks-ok",
-    "hot-alloc": "lint: alloc-ok",
-}
-
-MESSAGES = {
-    "naked-sync": (
-        "raw std sync primitive outside common/sync.h; use geored::Mutex / "
-        "MutexLock / CondVar so Clang's thread-safety analysis can see the "
-        "lock (deliberate wrapping sites: '// lint: naked-sync-ok')"
-    ),
-    "wall-clock": (
-        "real-time access outside src/net/clock.*; take time from the "
-        "injected net::Clock so runs replay deterministically "
-        "(deliberate: '// lint: wall-clock-ok')"
-    ),
-    "unseeded-rng": (
-        "direct RNG outside common/random; route randomness through "
-        "geored::Rng so runs reproduce from a seed"
-    ),
-    "unordered-iter": (
-        "iteration over an unordered container; hash order must not reach "
-        "serialized or reported output — sort the result or, if the loop is "
-        "an order-insensitive reduction, assert so with "
-        "'// lint: unordered-iter-ok'"
-    ),
-    "run-chunks": (
-        "direct ThreadPool::run_chunks call; use parallel_for / "
-        "parallel_reduce_sum, which run nested parallelism inline instead of "
-        "deadlocking the pool (sanctioned drivers: '// lint: run-chunks-ok')"
-    ),
-    "hot-alloc": (
-        "std::vector construction in a hot kernel file; use the epoch arena "
-        "(common/arena.h) or a reused buffer for per-call scratch "
-        "(deliberate sites: '// lint: alloc-ok')"
-    ),
-}
-
-
-def suppressed(check: str, raw_line: str) -> bool:
-    marker = SUPPRESSIONS.get(check)
-    return marker is not None and marker in raw_line
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -192,12 +95,19 @@ def strip_comments_and_strings(text: str) -> str:
     return re.sub(r'"(?:[^"\\\n]|\\.)*"', '""', text)
 
 
-class FileLint:
-    """One file's text in both raw (for suppressions) and stripped form."""
+UNORDERED_DECL = re.compile(
+    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(?P<name>\w+)\s*[;={(]"
+)
 
-    def __init__(self, rel: pathlib.Path, text: str):
+
+class FileLint:
+    """One file's text in raw (for suppressions) and stripped form."""
+
+    def __init__(self, rel: pathlib.Path, text: str, driver: bool):
         self.rel = rel
         self.posix = rel.as_posix()
+        self.driver = driver
+        self.text = text
         self.raw_lines = text.splitlines()
         self.lines = strip_comments_and_strings(text).splitlines()
         self.unordered_names = {
@@ -208,50 +118,257 @@ class FileLint:
         return self.raw_lines[lineno - 1] if lineno - 1 < len(self.raw_lines) else ""
 
 
-def emit(errors: list[str], lint: FileLint, lineno: int, check: str) -> None:
-    errors.append(f"{lint.rel}:{lineno}: [{check}] {MESSAGES[check]}")
+# ---------------------------------------------------------------------------
+# Whole-file finders (rules a per-line pattern cannot express)
+# ---------------------------------------------------------------------------
+
+
+def missing_pragma_once(lint: FileLint) -> Iterable[int]:
+    if lint.rel.suffix == ".h" and "#pragma once" not in lint.text:
+        yield 1
+
+
+# A range-for whose range expression names an unordered container: either the
+# expression contains `unordered_` itself, or its terminal identifier is
+# declared with an unordered type elsewhere in the same file.
+RANGE_FOR = re.compile(r"\bfor\s*\(\s*(?:const\s+)?[^;:)]*?:\s*(?P<range>[^)]+)\)")
+
+
+def unordered_range_for(lint: FileLint) -> Iterable[int]:
+    for lineno, line in enumerate(lint.lines, 1):
+        match = RANGE_FOR.search(line)
+        if match:
+            range_expr = match.group("range").strip()
+            # `node.data_` -> `data_`: strip member access chains and calls.
+            terminal = re.split(r"[.\->(]", range_expr)[-1].strip()
+            if "unordered_" in range_expr or terminal in lint.unordered_names:
+                yield lineno
+
+
+SIZE_PARAM = re.compile(
+    r"\b(?:std::)?(?:size_t|uint32_t|uint64_t|ptrdiff_t)\s+"
+    r"(k|n|index|idx|quorum|dim|dimensions|node|node_id|replica|client|count)\b"
+    r"|\bNodeId\s+\w+"
+)
+# A function definition: start of line (possibly indented once for a class),
+# a return type token, a name, an argument list, then an opening brace on the
+# same or the next line. Good enough for this codebase's clang-format style.
+FUNC_DEF = re.compile(
+    r"^(?P<indent>[ \t]*)(?!(?:if|for|while|switch|return|else|do|catch)\b)"
+    r"(?P<sig>[A-Za-z_][\w:<>,&*\s]*?[\w>&*]\s+[\w:~]+\s*\((?P<args>[^;{}]*)\)"
+    r"(?:\s*const)?(?:\s*noexcept)?)\s*(?::[^{;]+)?\{",
+    re.MULTILINE,
+)
+VALIDATORS = ("GEORED_ENSURE", "GEORED_CHECK", "GEORED_DCHECK", "validate_")
+
+
+def function_body(text: str, open_brace: int) -> str:
+    depth = 0
+    for i in range(open_brace, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[open_brace : i + 1]
+    return text[open_brace:]
+
+
+def unvalidated_entry_points(lint: FileLint) -> Iterable[int]:
+    if lint.rel.suffix != ".cpp":
+        return
+    text = lint.text
+    for match in FUNC_DEF.finditer(text):
+        sig = match.group("sig")
+        if not SIZE_PARAM.search(match.group("args")) or sig.lstrip().startswith("static "):
+            continue
+        # Helpers in an anonymous namespace are not public entry points.
+        before = text[: match.start()]
+        if before.count("namespace {") > before.count("}  // namespace\n"):
+            if before.rfind("namespace {") > before.rfind("}  // namespace"):
+                continue
+        body = function_body(text, match.end() - 1)  # match ends at the '{'
+        if not any(v in body for v in VALIDATORS):
+            yield text.count("\n", 0, match.start()) + 1
 
 
 # ---------------------------------------------------------------------------
-# Regex mode (always available; authoritative)
+# The rule table
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    message: str
+    pattern: re.Pattern[str] | None = None  # searched in each stripped line
+    find: Callable[[FileLint], Iterable[int]] | None = None  # or a whole-file finder
+    drivers: bool = False  # also covers bench/, examples/, tools/geored.cpp
+    allow: tuple[str, ...] = ()  # exempt path prefixes (a file path exempts itself)
+    only: tuple[str, ...] = ()  # when set, the rule covers just these files
+    suppress: str | None = None  # marker that waives a finding on its line
+
+    def covers(self, lint: FileLint) -> bool:
+        if lint.driver and not self.drivers:
+            return False
+        if self.only and lint.posix not in self.only:
+            return False
+        return not lint.posix.startswith(self.allow)
+
+    def lines(self, lint: FileLint) -> Iterable[int]:
+        if self.find is not None:
+            return self.find(lint)
+        return (n for n, line in enumerate(lint.lines, 1) if self.pattern.search(line))
+
+
+RULES = (
+    Rule(
+        "no-raw-assert",
+        "use GEORED_ENSURE/CHECK/DCHECK instead of raw assert",
+        pattern=re.compile(r"(?<!static_)\bassert\s*\("),
+        drivers=True,
+    ),
+    Rule(
+        "unseeded-rng",
+        "direct RNG outside common/random; route randomness through "
+        "geored::Rng so runs reproduce from a seed",
+        pattern=re.compile(
+            r"(?<!_)\b(?:s?rand)\s*\("
+            r"|\bstd::(?:mt19937(?:_64)?|random_device|default_random_engine|minstd_rand0?)\b"
+        ),
+        drivers=True,
+        allow=("src/common/random",),
+    ),
+    Rule(
+        "pragma-once",
+        "header lacks '#pragma once'",
+        find=missing_pragma_once,
+        drivers=True,
+    ),
+    Rule(
+        "registry-only",
+        'construct OnlineClusteringPlacement through place::make_strategy("online") '
+        "or the epoch-pipeline factories, not directly",
+        # `new`, make_unique / make_shared, a temporary, or a named local.
+        pattern=re.compile(
+            r"new\s+(?:place::)?OnlineClusteringPlacement\b"
+            r"|make_(?:unique|shared)<[^>]*OnlineClusteringPlacement\s*>"
+            r"|\bOnlineClusteringPlacement\s*[({]"
+            r"|\bOnlineClusteringPlacement\s+\w+\s*[;({]"
+        ),
+        drivers=True,
+        allow=("src/placement/", "src/core/epoch_pipeline.cpp"),
+    ),
+    Rule(
+        "ensure-on-entry",
+        "public entry point takes a size/index parameter but never validates "
+        "its arguments (GEORED_ENSURE it, delegate to a validate_* helper, or "
+        "mark the signature '// lint: no-ensure')",
+        find=unvalidated_entry_points,
+        suppress="lint: no-ensure",
+    ),
+    Rule(
+        "naked-sync",
+        "raw std sync primitive outside common/sync.h; use geored::Mutex / "
+        "MutexLock / CondVar so Clang's thread-safety analysis can see the "
+        "lock (deliberate wrapping sites: '// lint: naked-sync-ok')",
+        pattern=re.compile(
+            r"\bstd::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
+            r"|shared_mutex|shared_timed_mutex"
+            r"|condition_variable|condition_variable_any"
+            r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b"
+            r"|#\s*include\s*<(?:mutex|condition_variable|shared_mutex)>"
+        ),
+        allow=("src/common/sync.h",),
+        suppress="lint: naked-sync-ok",
+    ),
+    Rule(
+        "wall-clock",
+        "real-time access outside src/net/clock.cpp; take time from the "
+        "injected net::Clock so runs replay deterministically",
+        pattern=re.compile(
+            r"#\s*include\s*<chrono>"
+            r"|\bstd::chrono\b|\bsteady_clock\b|\bsystem_clock\b|\bhigh_resolution_clock\b"
+            r"|\bsleep_for\b|\bsleep_until\b|\bthis_thread\s*::\s*sleep"
+            r"|\bgettimeofday\s*\(|\bclock_gettime\s*\(|\bnanosleep\s*\(|\busleep\s*\("
+            r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
+        ),
+        # Epoch stage tracing is observational-only wall time; nothing
+        # deterministic consumes it (core/epoch_trace.h).
+        allow=("src/net/clock.cpp", "src/core/epoch_trace.cpp"),
+    ),
+    Rule(
+        "raw-thread",
+        "raw thread outside the ThreadPool and the RPC server; run data "
+        "parallelism through parallel_for / parallel_reduce_sum",
+        pattern=re.compile(r"\bstd::j?thread\b|\bpthread_create\s*\("),
+        allow=("src/common/thread_pool", "src/net/rpc_collector.cpp"),
+    ),
+    Rule(
+        "unordered-iter",
+        "iteration over an unordered container; hash order must not reach "
+        "serialized or reported output — sort the result or, if the loop is "
+        "an order-insensitive reduction, assert so with "
+        "'// lint: unordered-iter-ok'",
+        find=unordered_range_for,
+        suppress="lint: unordered-iter-ok",
+    ),
+    Rule(
+        "run-chunks",
+        "direct ThreadPool::run_chunks call; use parallel_for / "
+        "parallel_reduce_sum, which run nested parallelism inline instead of "
+        "deadlocking the pool (sanctioned drivers: '// lint: run-chunks-ok')",
+        pattern=re.compile(r"\brun_chunks\s*\("),
+        allow=("src/common/thread_pool",),
+        suppress="lint: run-chunks-ok",
+    ),
+    Rule(
+        "hot-alloc",
+        "std::vector construction in a hot kernel file; use the epoch arena "
+        "(common/arena.h) or a reused buffer for per-call scratch "
+        "(deliberate sites: '// lint: alloc-ok')",
+        # A vector variable declaration or temporary; references and
+        # qualified-name function definitions do not allocate per call.
+        pattern=re.compile(
+            r"\bstd::vector\s*<[^;()]*?>\s+\w+\s*[;({=]|\bstd::vector\s*<[^;()]*?>\s*[({]"
+        ),
+        only=(
+            "src/common/point_set.cpp",
+            "src/common/point_set_simd.cpp",
+            "src/cluster/kmeans.cpp",
+            "src/cluster/moment_store.cpp",
+            "src/cluster/summarizer.cpp",
+            "src/placement/evaluate.cpp",
+            "src/core/epoch_pipeline.cpp",
+            "src/core/epoch_trace.h",
+            "src/serve/request_router.cpp",
+            "src/serve/replica_panel.cpp",
+            "src/serve/latency_histogram.h",
+        ),
+        suppress="lint: alloc-ok",
+    ),
+)
+RULE = {rule.name: rule for rule in RULES}
+
+
+def emit(errors: list[str], lint: FileLint, lineno: int, rule: Rule) -> None:
+    errors.append(f"{lint.rel}:{lineno}: [{rule.name}] {rule.message}")
+
+
+def suppressed(rule: Rule, raw_line: str) -> bool:
+    return rule.suppress is not None and rule.suppress in raw_line
 
 
 def regex_lint_file(lint: FileLint, errors: list[str]) -> None:
-    for lineno, line in enumerate(lint.lines, 1):
-        raw = lint.raw(lineno)
-
-        if lint.posix not in SYNC_ALLOWLIST_FILES and NAKED_SYNC.search(line):
-            if not suppressed("naked-sync", raw):
-                emit(errors, lint, lineno, "naked-sync")
-
-        if lint.posix not in CLOCK_ALLOWLIST_FILES and WALL_CLOCK.search(line):
-            if not suppressed("wall-clock", raw):
-                emit(errors, lint, lineno, "wall-clock")
-
-        if not lint.posix.startswith(RNG_ALLOWLIST_PREFIXES) and UNSEEDED_RNG.search(line):
-            emit(errors, lint, lineno, "unseeded-rng")
-
-        if not lint.posix.startswith(RUN_CHUNKS_ALLOWLIST_PREFIXES) and RUN_CHUNKS.search(line):
-            if not suppressed("run-chunks", raw):
-                emit(errors, lint, lineno, "run-chunks")
-
-        if lint.posix in HOT_ALLOC_FILES and HOT_ALLOC.search(line):
-            if not suppressed("hot-alloc", raw):
-                emit(errors, lint, lineno, "hot-alloc")
-
-        match = RANGE_FOR.search(line)
-        if match and not suppressed("unordered-iter", raw):
-            range_expr = match.group("range").strip()
-            # The terminal identifier of the range expression (strip member
-            # access chains and calls): `node.data_` -> `data_`.
-            terminal = re.split(r"[.\->(]", range_expr)[-1].strip()
-            if "unordered_" in range_expr or terminal in lint.unordered_names:
-                emit(errors, lint, lineno, "unordered-iter")
+    for rule in RULES:
+        if rule.covers(lint):
+            for lineno in rule.lines(lint):
+                if not suppressed(rule, lint.raw(lineno)):
+                    emit(errors, lint, lineno, rule)
 
 
 # ---------------------------------------------------------------------------
-# AST mode (libclang, optional)
+# AST mode (libclang, optional; src/ only)
 # ---------------------------------------------------------------------------
 
 
@@ -267,8 +384,8 @@ def try_load_libclang():
         return None
 
 
-def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str]) -> bool:
-    """AST pass for one file. Returns False to fall back to regex mode."""
+def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str]) -> None:
+    """AST pass for one file; a file that does not parse adds nothing."""
     path = root / lint.rel
     try:
         tu = cindex.Index.create().parse(
@@ -277,9 +394,9 @@ def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str])
             options=cindex.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0,
         )
     except Exception:
-        return False
+        return
     if any(d.severity >= cindex.Diagnostic.Fatal for d in tu.diagnostics):
-        return False
+        return
 
     def here(cursor) -> int | None:
         loc = cursor.location
@@ -287,6 +404,8 @@ def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str])
             return None
         return loc.line
 
+    sync, clock, rng = RULE["naked-sync"], RULE["wall-clock"], RULE["unseeded-rng"]
+    chunks, unordered = RULE["run-chunks"], RULE["unordered-iter"]
     K = cindex.CursorKind
     for cursor in tu.cursor.walk_preorder():
         lineno = here(cursor)
@@ -297,46 +416,55 @@ def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str])
         if cursor.kind in (K.VAR_DECL, K.FIELD_DECL):
             spelled_type = cursor.type.spelling
 
-        if lint.posix not in SYNC_ALLOWLIST_FILES and NAKED_SYNC.search(spelled_type):
-            if not suppressed("naked-sync", raw):
-                emit(errors, lint, lineno, "naked-sync")
+        if sync.covers(lint) and sync.pattern.search(spelled_type) and not suppressed(sync, raw):
+            emit(errors, lint, lineno, sync)
 
         if cursor.kind in (K.DECL_REF_EXPR, K.CALL_EXPR):
             name = cursor.spelling or ""
             if (
-                lint.posix not in CLOCK_ALLOWLIST_FILES
+                clock.covers(lint)
                 and name in ("sleep_for", "sleep_until", "now", "gettimeofday",
                              "clock_gettime", "nanosleep", "usleep")
                 and "chrono" in (cursor.referenced.location.file.name
                                  if cursor.referenced is not None
                                  and cursor.referenced.location.file is not None
                                  else "chrono")  # no referent info: be strict
-                and not suppressed("wall-clock", raw)
             ):
-                emit(errors, lint, lineno, "wall-clock")
+                emit(errors, lint, lineno, clock)
             if (
-                not lint.posix.startswith(RUN_CHUNKS_ALLOWLIST_PREFIXES)
+                chunks.covers(lint)
                 and name == "run_chunks"
                 and cursor.kind is K.CALL_EXPR
-                and not suppressed("run-chunks", raw)
+                and not suppressed(chunks, raw)
             ):
-                emit(errors, lint, lineno, "run-chunks")
+                emit(errors, lint, lineno, chunks)
 
-        if not lint.posix.startswith(RNG_ALLOWLIST_PREFIXES) and UNSEEDED_RNG.search(
-            spelled_type
-        ):
-            emit(errors, lint, lineno, "unseeded-rng")
+        if rng.covers(lint) and rng.pattern.search(spelled_type):
+            emit(errors, lint, lineno, rng)
 
-        if cursor.kind is K.CXX_FOR_RANGE_STMT and not suppressed("unordered-iter", raw):
+        if cursor.kind is K.CXX_FOR_RANGE_STMT and not suppressed(unordered, raw):
             children = list(cursor.get_children())
             if children:
                 range_type = children[-2].type.spelling if len(children) >= 2 else ""
                 if "unordered_" in range_type:
-                    emit(errors, lint, lineno, "unordered-iter")
-    return True
+                    emit(errors, lint, lineno, unordered)
 
 
 # ---------------------------------------------------------------------------
+
+
+def collect_files(root: pathlib.Path) -> tuple[list[pathlib.Path], list[pathlib.Path]]:
+    """(library files under src/, driver files)."""
+
+    def sources(tree: pathlib.Path) -> list[pathlib.Path]:
+        return [p for p in sorted(tree.rglob("*")) if p.suffix in (".cpp", ".h")]
+
+    library = sources(root / "src")
+    drivers = [p for tree in ("bench", "examples") for p in sources(root / tree)]
+    cli = root / "tools" / "geored.cpp"
+    if cli.is_file():
+        drivers.append(cli)
+    return library, drivers
 
 
 def main() -> int:
@@ -345,8 +473,8 @@ def main() -> int:
     if not src.is_dir():
         print(f"error: {src} is not a directory", file=sys.stderr)
         return 2
-    files = [p for p in sorted(src.rglob("*")) if p.suffix in (".cpp", ".h")]
-    if not files:
+    library, drivers = collect_files(root)
+    if not library:
         print(
             f"error: found no .cpp/.h files under {src} — an empty lint run "
             "would falsely read as a pass; check the path argument",
@@ -357,26 +485,20 @@ def main() -> int:
     cindex = try_load_libclang()
     mode = "libclang AST" if cindex else "regex fallback"
 
-    errors: list[str] = []
-    regex_errors: list[str] = []
-    for path in files:
-        lint = FileLint(path.relative_to(root), path.read_text(encoding="utf-8"))
-        regex_lint_file(lint, regex_errors)
-        if cindex:
-            ast_errors: list[str] = []
-            if ast_lint_file(cindex, root, lint, ast_errors):
-                errors.extend(ast_errors)
-            else:
-                # Unparsable under the bare flags: regex findings stand in.
-                errors.extend(e for e in regex_errors if e.startswith(f"{lint.rel}:"))
-
     # The regex pass is authoritative for the exit status: the AST pass can
-    # only ever refine locations, never quietly pass what regex flags.
+    # only ever add findings, never quietly pass what regex flags.
+    errors: list[str] = []
+    for path, driver in [(p, False) for p in library] + [(p, True) for p in drivers]:
+        lint = FileLint(path.relative_to(root), path.read_text(encoding="utf-8"), driver)
+        regex_lint_file(lint, errors)
+        if cindex and not driver:
+            ast_lint_file(cindex, root, lint, errors)
+
     def location_key(error: str) -> tuple[str, int]:
         file, line = error.split(":", 2)[:2]
         return file, int(line)
 
-    reported = sorted(set(regex_errors) | set(errors), key=location_key)
+    reported = sorted(set(errors), key=location_key)
     for error in reported:
         print(error)
     if reported:
