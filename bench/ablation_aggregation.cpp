@@ -7,16 +7,19 @@
 // network hop. This harness sweeps the number of summary sources and
 // reports root bandwidth, total bandwidth and collection latency for both.
 //
-// This harness deliberately drives the aggregation substrate (plan/run)
-// below the pipeline's HierarchicalCollector, which wraps exactly this path:
-// the collector interface reports only root-inbound bytes, while the
-// ablation also needs total bytes, latency and aggregator counts.
+// The tree runs through the pipeline's HierarchicalCollector, the flat
+// baseline through run_flat_collection. The collector reports root-inbound
+// bytes; total bytes come from the network's summary traffic, latency from
+// the simulator clock (each collection runs its fresh simulator to
+// completion), and the aggregator count from plan_aggregation with the
+// seed the collector plans with.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "core/aggregation.h"
+#include "core/epoch_pipeline.h"
 #include "netcoord/embedding.h"
+#include "reference/flat_collection.h"
 #include "topology/planetlab_model.h"
 
 using namespace geored;
@@ -66,27 +69,29 @@ int main() {
 
     core::AggregationConfig config;
     config.max_clusters_per_aggregator = 16;
-    const auto plan = core::plan_aggregation(candidates, sources, config, 7);
+    constexpr std::uint64_t kPlanSeed = 7;
+    const auto plan = core::plan_aggregation(candidates, sources, config, kPlanSeed);
 
     sim::Simulator tree_sim;
     sim::Network tree_net(tree_sim, topology);
-    const auto tree =
-        core::run_aggregation(tree_sim, tree_net, plan, sources, /*root=*/0, config);
+    core::HierarchicalCollector collector(tree_sim, tree_net, /*root=*/0, config);
+    const auto tree = collector.collect(sources, {candidates, 3, kPlanSeed});
 
     sim::Simulator flat_sim;
     sim::Network flat_net(flat_sim, topology);
     const auto flat = core::run_flat_collection(flat_sim, flat_net, sources, /*root=*/0);
 
+    const auto summary_total = [](const sim::Network& network) {
+      return static_cast<unsigned long long>(
+          network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)]);
+    };
     std::printf("%-10zu %6zu %14llu %14llu %12llu %12llu %12.1f %12.1f\n", source_count,
-                plan.aggregators.size(),
-                static_cast<unsigned long long>(flat.bytes_into_root),
-                static_cast<unsigned long long>(tree.bytes_into_root),
-                static_cast<unsigned long long>(flat.bytes_total),
-                static_cast<unsigned long long>(tree.bytes_total), flat.completion_ms,
-                tree.completion_ms);
+                plan.aggregators.size(), static_cast<unsigned long long>(flat.summary_bytes),
+                static_cast<unsigned long long>(tree.summary_bytes), summary_total(flat_net),
+                summary_total(tree_net), flat_sim.now(), tree_sim.now());
     if (source_count == 256) {
-      flat_root_256 = flat.bytes_into_root;
-      tree_root_256 = tree.bytes_into_root;
+      flat_root_256 = flat.summary_bytes;
+      tree_root_256 = tree.summary_bytes;
     }
   }
 

@@ -11,9 +11,8 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/serialize.h"
-#include "core/decentralized.h"
+#include "core/epoch_pipeline.h"
 #include "netcoord/embedding.h"
-#include "placement/strategy.h"
 #include "topology/planetlab_model.h"
 
 using namespace geored;
@@ -38,7 +37,7 @@ int main() {
   bool all_agree = true;
   for (std::size_t k = 2; k <= 7; ++k) {
     Rng rng(k);
-    std::map<topo::NodeId, std::vector<cluster::MicroCluster>> summaries;
+    std::vector<core::SummarySource> summaries;  // one per holder, in node order
     for (std::size_t r = 0; r < k; ++r) {
       std::vector<cluster::MicroCluster> clusters;
       for (int c = 0; c < 4; ++c) {
@@ -50,7 +49,7 @@ int main() {
         }
         clusters.push_back(micro);
       }
-      summaries.emplace(static_cast<topo::NodeId>(r), std::move(clusters));
+      summaries.push_back({static_cast<topo::NodeId>(r), std::move(clusters)});
     }
 
     // Central reference: every holder ships to holder 0 (the coordinator).
@@ -65,17 +64,19 @@ int main() {
       }
     }
 
+    // The collector checks that every holder decided the same proposal (a
+    // divergence throws) and returns it; the simulator runs to the last
+    // decision, so its clock is the completion time.
     sim::Simulator simulator;
     sim::Network network(simulator, topology);
-    const auto strategy = place::make_strategy("online");
-    const auto result = core::run_decentralized_epoch(simulator, network, candidates,
-                                                      summaries, 3, /*epoch_seed=*/k,
-                                                      *strategy);
-    all_agree &= result.agreement;
+    core::DecentralizedCollector collector(simulator, network);
+    const auto collected = collector.collect(summaries, {candidates, 3, /*epoch_seed=*/k});
+    const bool agreement = collected.agreed_proposal.has_value();
+    all_agree &= agreement;
     std::printf("%-6zu %14llu %16llu %16.1f %18.1f %12s\n", k,
                 static_cast<unsigned long long>(central_bytes),
-                static_cast<unsigned long long>(result.summary_bytes), central_ms,
-                result.completion_ms, result.agreement ? "yes" : "NO");
+                static_cast<unsigned long long>(collected.summary_bytes), central_ms,
+                simulator.now(), agreement ? "yes" : "NO");
   }
 
   std::printf("\npaper-shape checks:\n");

@@ -21,7 +21,6 @@
 
 #include "cluster/kmeans.h"
 #include "cluster/summarizer.h"
-#include "cluster/summarizer_scalar.h"
 #include "common/flags.h"
 #include "common/point_set.h"
 #include "common/point_set_simd.h"
@@ -33,8 +32,11 @@
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
+#include "reference/evaluate_scalar.h"
+#include "reference/redistribute_scalar.h"
+#include "reference/router_scalar.h"
+#include "reference/summarizer_scalar.h"
 #include "serve/request_router.h"
-#include "serve/router_scalar.h"
 #include "topology/topology.h"
 
 using namespace geored;
@@ -806,7 +808,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
   // frozen scalar references: per-access ScalarMicroClusterSummarizer
   // ingest in stream order, direct collection, the scalar k-means solver
   // behind the proposal, Point-loop delay estimates at the gate, and
-  // ScalarNearestRedistributionAdopter redistribution. The optimized arm is
+  // redistribute_summaries_scalar redistribution. The optimized arm is
   // the production ReplicationManager (batched sharded ingest, SIMD-bounded
   // solver, kernelized adoption). Every stage is bit-identical by contract,
   // so both arms must adopt the same placement, serialize byte-identical
@@ -950,7 +952,7 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         for (const auto node : proposed) {
           if (std::find(routed.begin(), routed.end(), node) == routed.end()) ++moved;
         }
-        decision = core::PolicyGate(mconfig.migration).evaluate(old_delay, new_delay, moved);
+        decision = core::decide_migration(mconfig.migration, old_delay, new_delay, moved);
       }
       // (5) Adopt via the frozen scalar redistribution, or retain (decay).
       Placement adopted_placement = routed;
@@ -960,9 +962,8 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
         if (decision.migrate || proposed.size() != routed.size()) {
           adopted_placement = proposed;
           std::map<topo::NodeId, cluster::MicroClusterSummarizer> adopted;
-          core::ScalarNearestRedistributionAdopter adopter;
-          adopter.adopt(proposed, collected.summaries, world.candidates, mconfig.summarizer,
-                        adopted);
+          core::redistribute_summaries_scalar(proposed, collected.summaries, world.candidates,
+                                              mconfig.summarizer, adopted);
           for (const auto node : adopted_placement) {
             cluster::write_clusters(writer, adopted.at(node).clusters());
           }

@@ -7,7 +7,7 @@
 // equivalence suites (tests/cluster/ingest_equivalence_test.cpp) and
 // bench/micro_perf feed both the same streams and require bit-identical
 // summaries, so the reference must stay untouched by future optimization —
-// the same discipline as the *_scalar evaluators in placement/evaluate.h.
+// the same discipline as the *_scalar evaluators in evaluate_scalar.h.
 #pragma once
 
 #include <cstdint>

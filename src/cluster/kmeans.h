@@ -47,7 +47,11 @@ KMeansResult weighted_kmeans(const std::vector<WeightedPoint>& points,
 /// Scalar reference solver: identical seeding (same rng consumption) and
 /// plain full-scan Lloyd iterations. Retained for the KMeansEquivalence
 /// suites and the macro-clustering benchmark baseline; must stay untouched
-/// by future optimization.
+/// by future optimization. Unlike the other frozen references it stays in
+/// this library rather than in geored_reference: its Lloyd loop shares the
+/// k-means++ seeding, the flat point layout and the objective with the
+/// production solver in kmeans.cpp, and moving it out would need a new
+/// public seam for those internals.
 KMeansResult weighted_kmeans_scalar(const std::vector<WeightedPoint>& points,
                                     const KMeansConfig& config, Rng& rng);
 

@@ -1,6 +1,6 @@
 // Flat structure-of-arrays storage for micro-cluster moments.
 //
-// The scalar summarizer (summarizer_scalar.h) keeps one MicroCluster object
+// The scalar summarizer (reference/summarizer_scalar.h) keeps one MicroCluster object
 // per cluster: every absorb allocates two temporary Points (the component
 // squares and the refreshed centroid) and every absorb test recomputes the
 // rms stddev — two sqrt-free passes over the moments — from scratch. At

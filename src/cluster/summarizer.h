@@ -11,7 +11,7 @@
 // contiguous per-field buffers with a cached absorb radius per cluster, so
 // the per-access hot path is one fused nearest+radius kernel with no
 // allocation. Results are bit-identical to the retained scalar reference
-// (cluster/summarizer_scalar.h); the IngestEquivalence suite compares
+// (reference/summarizer_scalar.h); the IngestEquivalence suite compares
 // serialized bytes.
 #pragma once
 

@@ -1,25 +1,18 @@
-// The placement epoch as a pipeline of replaceable stages.
+// The placement epoch's one pluggable stage: summary collection.
 //
 // Algorithm 1 is one fixed loop — collect summaries, macro-cluster them,
-// map centroids to data centers, gate the migration — and the library used
-// to reproduce it three separate times (ReplicationManager::run_epoch, the
-// decentralized all-to-all variant, and the hierarchical aggregation tree).
-// This header factors the loop into four stage interfaces so the variants
-// become plugins behind one canonical composition:
+// gate the migration, redistribute. Only the first step has real variants,
+// so it is the only replaceable stage:
 //
 //   SummaryCollector   how micro-cluster summaries reach the decision point
-//                      (direct in-process, two-level aggregation tree, or
-//                      all-to-all decentralized agreement)
-//   PlacementProposer  how the collected summaries become a proposed
-//                      placement (any place::PlacementStrategy, plus the
-//                      warm-start centroid cache for online clustering)
-//   MigrationGate      whether the proposal is worth the move (§III-C)
-//   Adopter            how replica state follows an adopted placement and
-//                      how retained summaries age
+//                      (direct in-process, two-level aggregation tree,
+//                      all-to-all decentralized agreement, or real RPC)
 //
-// ReplicationManager::run_epoch composes the four stages; the default
-// composition (standard_pipeline in replication_manager.h) is byte-identical
-// to the historical hand-inlined loop.
+// ReplicationManager::run_epoch runs the collector and then the fixed steps:
+// propose (online clustering with the warm-start centroid cache), gate
+// (decide_migration over the configured policy) and adopt
+// (redistribute_summaries below) or retain (decay). A collector that already
+// agreed on a proposal in-protocol (decentralized) skips the propose step.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +23,19 @@
 #include <vector>
 
 #include "cluster/summarizer.h"
-#include "core/aggregation.h"
-#include "core/migration.h"
 #include "net/clock.h"
 #include "net/rpc_config.h"
-#include "placement/online_clustering.h"
-#include "placement/strategy.h"
 #include "placement/types.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
 
 namespace geored::core {
+
+/// One summary source: a node holding micro-clusters to report.
+struct SummarySource {
+  topo::NodeId node = 0;
+  std::vector<cluster::MicroCluster> clusters;
+};
 
 /// Epoch-scoped facts every collector may need: which data centers are
 /// usable this epoch, the degree in force, and the epoch's decision seed.
@@ -55,7 +52,7 @@ struct CollectedSummaries {
   /// Wire bytes the decision point received (the O(km) cost of Table II).
   std::size_t summary_bytes = 0;
   /// Set when the collection protocol itself already agreed on a proposal
-  /// (the decentralized collector); the pipeline then skips the proposer.
+  /// (the decentralized collector); the epoch then skips the propose step.
   std::optional<place::Placement> agreed_proposal;
   /// Sources whose summary could not be collected this round and was served
   /// from the collector's last-epoch cache instead ("rpc" degradation).
@@ -65,7 +62,7 @@ struct CollectedSummaries {
   std::vector<topo::NodeId> lost_sources;
 };
 
-/// Stage 1: ships per-replica summaries to the placement decision point.
+/// Ships per-replica summaries to the placement decision point.
 class SummaryCollector {
  public:
   virtual ~SummaryCollector() = default;
@@ -90,13 +87,45 @@ class DirectCollector final : public SummaryCollector {
                              const CollectionContext& context) override;
 };
 
-/// Two-level aggregation tree over the simulated network (core/aggregation):
-/// sources -> nearest regional aggregator -> root. The reported wire size is
-/// the root's inbound bytes — the bandwidth the tree exists to bound.
+struct AggregationConfig {
+  /// Aggregator count; 0 = ceil(sqrt(#sources)), the bandwidth-balancing
+  /// choice for a two-level tree.
+  std::size_t aggregator_count = 0;
+  /// Micro-cluster budget of each aggregator's merged summary (m̂).
+  std::size_t max_clusters_per_aggregator = 16;
+};
+
+/// Which data centers aggregate, and who reports to whom.
+struct AggregationPlan {
+  std::vector<topo::NodeId> aggregators;
+  /// source node -> aggregator node (aggregators map to themselves).
+  std::map<topo::NodeId, topo::NodeId> parent;
+};
+
+/// Chooses aggregators among the candidates (weighted k-means over the
+/// sources' coordinates, exactly the machinery of Algorithm 1) and assigns
+/// every source to its nearest aggregator — ties go to the first in
+/// aggregator order. Deterministic in `seed`.
+AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candidates,
+                                 const std::vector<SummarySource>& sources,
+                                 const AggregationConfig& config, std::uint64_t seed);
+
+/// Hierarchical summary collection. Algorithm 1 ships every replica's
+/// micro-clusters straight to one central server; a store managing hundreds
+/// of object groups then collects hundreds of summaries per epoch at one
+/// node. This collector plans a two-level tree per epoch (plan_aggregation,
+/// seeded with the epoch seed): sources send to their nearest regional
+/// aggregator, each aggregator merges what it received into a *bounded*
+/// micro-cluster set (the CluStream merge the summarizers use), and only the
+/// bounded merges travel to `root`. Root inbound bandwidth becomes
+/// O(aggregators * m̂) instead of O(sources * m).
+///
+/// Every message is charged as summary traffic on `network`, and the
+/// simulator is run to completion, so afterwards simulator.now() is the
+/// moment the root had everything. The reported wire size is the root's
+/// inbound bytes — the bandwidth the tree exists to bound.
 class HierarchicalCollector final : public SummaryCollector {
  public:
-  /// The collector plans a fresh tree per epoch (sources move) and runs it
-  /// over `simulator`/`network`, with the root at `root`.
   HierarchicalCollector(sim::Simulator& simulator, sim::Network& network, topo::NodeId root,
                         AggregationConfig config = {});
 
@@ -111,14 +140,21 @@ class HierarchicalCollector final : public SummaryCollector {
   AggregationConfig config_;
 };
 
-/// All-to-all decentralized agreement (core/decentralized): every replica
-/// receives every summary, computes the placement locally with the shared
-/// epoch seed, and the agreed proposal is returned — the proposer stage is
-/// skipped. `strategy` is the per-replica decision rule.
+/// Decentralized placement epochs — no central server. The whole decision
+/// is a deterministic function of (candidate set, summaries, epoch seed), so
+/// the replicas exchange their summaries all-to-all and *each* computes the
+/// placement locally with the paper's online clustering: with identical
+/// inputs (summaries ordered by source id) and an identical seed, every
+/// replica arrives at the same proposal without a coordination round, and
+/// that agreed proposal is returned. Cost: k*(k-1) summary messages instead
+/// of k, still O(k^2 * m) bytes — negligible for the paper's k <= 7.
+///
+/// The simulator is run to completion, so afterwards simulator.now() is the
+/// moment the last replica decided; the reported wire size is the total
+/// summary traffic exchanged.
 class DecentralizedCollector final : public SummaryCollector {
  public:
-  DecentralizedCollector(sim::Simulator& simulator, sim::Network& network,
-                         std::shared_ptr<const place::PlacementStrategy> strategy);
+  DecentralizedCollector(sim::Simulator& simulator, sim::Network& network);
 
   std::string name() const override { return "decentralized"; }
   CollectedSummaries collect(const std::vector<SummarySource>& sources,
@@ -127,139 +163,24 @@ class DecentralizedCollector final : public SummaryCollector {
  private:
   sim::Simulator& simulator_;
   sim::Network& network_;
-  std::shared_ptr<const place::PlacementStrategy> strategy_;
 };
 
-/// Stage 2: turns collected summaries into a proposed placement.
-class PlacementProposer {
- public:
-  virtual ~PlacementProposer() = default;
+/// The adopt step of every epoch: rebuilds `summarizers` for the replicas of
+/// `next`, handing each micro-cluster to the new replica nearest its
+/// centroid so usage knowledge survives the move. Placement coordinates are
+/// staged once and each centroid resolves with one PointSet::nearest_of
+/// scan (ties go to the first replica in `next` order), parallelized over
+/// the pool; merges run sequentially in summary order.
+void redistribute_summaries(
+    const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
+    const std::vector<place::CandidateInfo>& candidates,
+    const cluster::SummarizerConfig& summarizer_config,
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers);
 
-  /// Human-readable name used in reports.
-  virtual std::string name() const = 0;
-
-  /// Proposes min(input.k, #candidates) distinct candidates. May update
-  /// internal caches (e.g. warm-start centroids); deterministic in the
-  /// input, input.seed, and prior propose() history.
-  virtual place::Placement propose(const place::PlacementInput& input) = 0;
-
-  /// Warm-start centroid cache, persisted by ReplicationManager::save so a
-  /// restored stand-by proposes exactly what the failed coordinator would
-  /// have. Proposers without a cache report empty and ignore restores.
-  virtual std::vector<Point> warm_centroids() const { return {}; }
-  virtual void set_warm_centroids(std::vector<Point> centroids) { (void)centroids; }
-};
-
-/// The paper's Algorithm 1 proposer: weighted k-means macro-clustering with
-/// the warm-start centroid cache threaded between epochs.
-class ClusteringProposer final : public PlacementProposer {
- public:
-  explicit ClusteringProposer(place::OnlineClusteringConfig config = {}, bool warm_start = true);
-
-  std::string name() const override { return "online clustering"; }
-  place::Placement propose(const place::PlacementInput& input) override;
-  std::vector<Point> warm_centroids() const override { return last_macro_centroids_; }
-  void set_warm_centroids(std::vector<Point> centroids) override {
-    last_macro_centroids_ = std::move(centroids);
-  }
-
- private:
-  place::OnlineClusteringConfig config_;
-  bool warm_start_;
-  std::vector<Point> last_macro_centroids_;
-};
-
-/// Adapts any registry strategy (random, offline k-means, greedy, ...) to
-/// the proposer stage. No warm-start cache.
-class StrategyProposer final : public PlacementProposer {
- public:
-  explicit StrategyProposer(std::unique_ptr<place::PlacementStrategy> strategy);
-
-  std::string name() const override { return strategy_->name(); }
-  place::Placement propose(const place::PlacementInput& input) override;
-
- private:
-  std::unique_ptr<place::PlacementStrategy> strategy_;
-};
-
-/// Stage 3: the migration cost/benefit gate.
-class MigrationGate {
- public:
-  virtual ~MigrationGate() = default;
-
-  /// Decides whether moving `replicas_moved` replicas is worth the delay
-  /// improvement. Must not mutate state (the gate may be consulted
-  /// speculatively).
-  virtual MigrationDecision evaluate(double old_delay_ms, double new_delay_ms,
-                                     std::size_t replicas_moved) const = 0;
-};
-
-/// decide_migration over a fixed MigrationPolicy (§III-C).
-class PolicyGate final : public MigrationGate {
- public:
-  explicit PolicyGate(MigrationPolicy policy) : policy_(policy) {}
-
-  MigrationDecision evaluate(double old_delay_ms, double new_delay_ms,
-                             std::size_t replicas_moved) const override;
-
- private:
-  MigrationPolicy policy_;
-};
-
-/// Stage 4: applies an adopted placement to the per-replica summarizers, or
-/// ages them when the epoch keeps the old placement.
-class Adopter {
- public:
-  virtual ~Adopter() = default;
-
-  /// Rebuilds `summarizers` for the replicas of `next`, redistributing the
-  /// collected micro-clusters so usage knowledge survives the move.
-  virtual void adopt(const place::Placement& next,
-                     const std::vector<cluster::MicroCluster>& summaries,
-                     const std::vector<place::CandidateInfo>& candidates,
-                     const cluster::SummarizerConfig& summarizer_config,
-                     std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) = 0;
-
-  /// Ages retained summaries so stale populations fade (recency).
-  virtual void retain(
-      std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) = 0;
-};
-
-/// The historical behavior: each micro-cluster goes to the new replica
-/// nearest its centroid; retained summaries decay exponentially. The
-/// nearest-replica resolution is kernelized — placement coordinates staged
-/// once as a PointSet, per-summary nearest_of scans parallelized over the
-/// pool with arena scratch — and byte-identical to the frozen scalar
-/// reference below (pinned by EpochPipelineTest.AdopterMatchesScalar).
-class NearestRedistributionAdopter final : public Adopter {
- public:
-  void adopt(const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-             const std::vector<place::CandidateInfo>& candidates,
-             const cluster::SummarizerConfig& summarizer_config,
-             std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-  void retain(std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-};
-
-/// Frozen scalar reference for NearestRedistributionAdopter: the historical
-/// per-summary linear scans (O(summaries x k x candidates)), kept verbatim
-/// as the equivalence baseline and the re-armed epoch_end_to_end bench arm.
-/// Never optimize this class.
-class ScalarNearestRedistributionAdopter final : public Adopter {
- public:
-  void adopt(const place::Placement& next, const std::vector<cluster::MicroCluster>& summaries,
-             const std::vector<place::CandidateInfo>& candidates,
-             const cluster::SummarizerConfig& summarizer_config,
-             std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-  void retain(std::map<topo::NodeId, cluster::MicroClusterSummarizer>& summarizers) override;
-};
-
-/// One epoch's worth of stages. ReplicationManager owns one pipeline and
-/// composes the stages in run_epoch; every stage must be non-null.
+/// The epoch's pluggable stage. ReplicationManager owns one pipeline; the
+/// collector must be non-null.
 struct EpochPipeline {
   std::unique_ptr<SummaryCollector> collector;
-  std::unique_ptr<PlacementProposer> proposer;
-  std::unique_ptr<MigrationGate> gate;
-  std::unique_ptr<Adopter> adopter;
 };
 
 /// Dependencies a collector implementation may need. "direct" needs none;
@@ -269,10 +190,6 @@ struct CollectorConfig {
   sim::Network* network = nullptr;
   /// Root of the two-level tree ("hierarchical").
   topo::NodeId aggregation_root = 0;
-  AggregationConfig aggregation;
-  /// Per-replica decision rule ("decentralized"); defaults to the paper's
-  /// online clustering when null.
-  std::shared_ptr<const place::PlacementStrategy> decision_strategy;
   /// Fault schedule and retry budget ("rpc"); the defaults give a clean
   /// wire, byte-identical to "direct".
   net::RpcCollectorConfig rpc;

@@ -26,9 +26,9 @@ namespace geored::core {
 struct EpochStageTrace {
   double ingest_flush_ms = 0.0;  ///< draining the staged access batches
   double collect_ms = 0.0;       ///< SummaryCollector::collect
-  double propose_ms = 0.0;       ///< PlacementProposer::propose
-  double gate_ms = 0.0;          ///< delay estimates + MigrationGate
-  double adopt_ms = 0.0;         ///< Adopter::adopt or ::retain
+  double propose_ms = 0.0;       ///< online-clustering proposal
+  double gate_ms = 0.0;          ///< delay estimates + decide_migration
+  double adopt_ms = 0.0;         ///< redistribute_summaries or decay
 
   double total_ms() const {
     return ingest_flush_ms + collect_ms + propose_ms + gate_ms + adopt_ms;

@@ -15,13 +15,9 @@
 
 namespace geored::core {
 
-EpochPipeline standard_pipeline(const ManagerConfig& config) {
+EpochPipeline standard_pipeline(const ManagerConfig& /*config*/) {
   EpochPipeline pipeline;
   pipeline.collector = std::make_unique<DirectCollector>();
-  pipeline.proposer =
-      std::make_unique<ClusteringProposer>(config.strategy, config.warm_start_macro_clusters);
-  pipeline.gate = std::make_unique<PolicyGate>(config.migration);
-  pipeline.adopter = std::make_unique<NearestRedistributionAdopter>();
   return pipeline;
 }
 
@@ -52,13 +48,12 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
       config_(config),
       seed_(seed),
       degree_(config.replication_degree),
-      pipeline_(std::move(pipeline)) {
+      collector_(std::move(pipeline.collector)) {
   GEORED_ENSURE(!candidates_.empty(), "manager needs at least one candidate data center");
   GEORED_ENSURE(config_.replication_degree >= 1, "replication degree must be >= 1");
   GEORED_ENSURE(config_.min_degree >= 1 && config_.min_degree <= config_.max_degree,
                 "degree bounds must satisfy 1 <= min <= max");
-  GEORED_ENSURE(pipeline_.collector && pipeline_.proposer && pipeline_.gate && pipeline_.adopter,
-                "every epoch pipeline stage must be set");
+  GEORED_ENSURE(collector_ != nullptr, "the epoch pipeline needs a collector");
   GEORED_ENSURE(config_.ingest_batch_grain >= 1, "ingest_batch_grain must be >= 1");
   GEORED_ENSURE(config_.ingest_shards >= 1, "ingest_shards must be >= 1");
   degree_ = std::clamp(degree_, config_.min_degree, config_.max_degree);
@@ -281,7 +276,7 @@ std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_de
     }
   }
   // A cold-start probe of the registry's online-clustering strategy; the
-  // epoch proposer is left untouched so probing cannot perturb warm starts.
+  // warm-start cache is left untouched so probing cannot perturb proposals.
   const auto probe = place::make_strategy("online");
   std::vector<double> curve;
   curve.reserve(max_degree - min_degree + 1);
@@ -323,9 +318,8 @@ void ReplicationManager::save(ByteWriter& writer) const {
   for (const auto node : placement_) {
     summarizers_.at(node).serialize(writer);
   }
-  const std::vector<Point> centroids = pipeline_.proposer->warm_centroids();
-  writer.write_u32(static_cast<std::uint32_t>(centroids.size()));
-  for (const auto& centroid : centroids) {
+  writer.write_u32(static_cast<std::uint32_t>(warm_centroids_.size()));
+  for (const auto& centroid : warm_centroids_) {
     writer.write_f64_vector(centroid.values());
   }
 }
@@ -390,7 +384,7 @@ void ReplicationManager::restore(ByteReader& reader) {
   placement_ = std::move(placement);
   panel_ = std::move(panel);
   summarizers_ = std::move(summarizers);
-  pipeline_.proposer->set_warm_centroids(std::move(centroids));
+  warm_centroids_ = std::move(centroids);
 }
 
 EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded) {
@@ -439,14 +433,14 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   const std::uint64_t epoch_seed = seed_ ^ (0x9e3779b97f4a7c15ULL + epoch_index_);
   CollectedSummaries collected = [&] {
     const StageTimer timer(report.stages.collect_ms);
-    return pipeline_.collector->collect(sources, {usable, degree_, epoch_seed});
+    return collector_->collect(sources, {usable, degree_, epoch_seed});
   }();
   report.summary_bytes = collected.summary_bytes;
   report.stale_sources = collected.stale_sources.size();
   report.lost_sources = collected.lost_sources.size() + excluded_sources;
 
-  // 3. Propose a placement via the proposer stage over the usable
-  //    candidates — unless the collection protocol already agreed on one
+  // 3. Propose a placement over the usable candidates by macro-clustering
+  //    (Algorithm 1) — unless the collection protocol already agreed on one
   //    (decentralized collection decides in-protocol).
   if (collected.agreed_proposal.has_value()) {
     report.proposed_placement = std::move(*collected.agreed_proposal);
@@ -457,7 +451,14 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     input.k = degree_;
     input.summaries = collected.summaries;
     input.seed = epoch_seed;
-    report.proposed_placement = pipeline_.proposer->propose(input);
+    place::OnlineClusteringConfig strategy = config_.strategy;
+    if (config_.warm_start_macro_clusters) strategy.warm_start_centroids = warm_centroids_;
+    place::OnlineClusteringDetails details =
+        place::OnlineClusteringPlacement(strategy).place_detailed(input);
+    // The cache always tracks the latest macro-clustering, even when warm
+    // starts are disabled — checkpoints then capture it either way.
+    warm_centroids_ = std::move(details.macro_centroids);
+    report.proposed_placement = std::move(details.placement);
   }
 
   // 4. Migration gate.
@@ -471,8 +472,8 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
       if (std::find(placement_.begin(), placement_.end(), node) == placement_.end()) ++moved;
     }
     report.replicas_moved = moved;
-    report.decision = pipeline_.gate->evaluate(report.old_estimated_delay_ms,
-                                               report.new_estimated_delay_ms, moved);
+    report.decision = decide_migration(config_.migration, report.old_estimated_delay_ms,
+                                       report.new_estimated_delay_ms, moved);
   }
 
   // 5. Adopt or retain. A degree change must be applied even if the gate
@@ -486,10 +487,11 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
     if (report.decision.migrate || degree_changed || current_placement_impaired) {
       placement_ = report.proposed_placement;
       panel_ = replica_panel(candidates_, placement_);
-      pipeline_.adopter->adopt(placement_, collected.summaries, candidates_,
-                               config_.summarizer, summarizers_);
+      redistribute_summaries(placement_, collected.summaries, candidates_, config_.summarizer,
+                             summarizers_);
     } else {
-      pipeline_.adopter->retain(summarizers_);
+      // Age the retained summaries so stale populations fade (recency).
+      for (auto& [node, summarizer] : summarizers_) summarizer.decay();
     }
   }
   report.adopted_placement = placement_;

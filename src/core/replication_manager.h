@@ -130,11 +130,9 @@ struct EpochReport {
   EpochStageTrace stages;
 };
 
-/// The canonical stage composition for a ManagerConfig: direct in-process
-/// collection, the paper's online-clustering proposer (with warm starts per
-/// the config), the configured migration policy gate, and nearest-centroid
-/// summary redistribution. A manager built on this pipeline behaves
-/// byte-identically to the historical hand-inlined run_epoch.
+/// The canonical pipeline for a ManagerConfig: direct in-process collection.
+/// A manager built on it behaves byte-identically to the historical
+/// hand-inlined run_epoch.
 EpochPipeline standard_pipeline(const ManagerConfig& config);
 
 /// The routing panel over `placement` with candidate coordinates; throws
@@ -151,9 +149,9 @@ class ReplicationManager {
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
                      std::uint64_t seed);
 
-  /// As above, but with an explicit stage composition — swap any stage for
-  /// a protocol variant (hierarchical/decentralized collection, a different
-  /// proposer) without touching the epoch loop. Every stage must be set.
+  /// As above, but with an explicit collector — a protocol variant
+  /// (hierarchical, decentralized, rpc) without touching the epoch loop.
+  /// The pipeline's collector must be set.
   ReplicationManager(std::vector<place::CandidateInfo> candidates, ManagerConfig config,
                      std::uint64_t seed, EpochPipeline pipeline);
 
@@ -307,7 +305,11 @@ class ReplicationManager {
   /// ingest — pool chunks never take shard mutexes — so records observe
   /// either pre- or post-flush staging, never a torn one.
   mutable std::vector<std::unique_ptr<IngestShard>> ingest_shards_;
-  EpochPipeline pipeline_;
+  std::unique_ptr<SummaryCollector> collector_;
+  /// The latest epoch's macro-cluster centroids: the next proposal's warm
+  /// start (when enabled), persisted by save() so a restored stand-by
+  /// proposes exactly what the failed coordinator would have.
+  std::vector<Point> warm_centroids_;
 };
 
 }  // namespace geored::core

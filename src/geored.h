@@ -19,8 +19,6 @@
 #include "common/random.h"
 #include "common/significance.h"
 #include "common/stats.h"
-#include "core/aggregation.h"
-#include "core/decentralized.h"
 #include "core/degree_allocator.h"
 #include "core/epoch_pipeline.h"
 #include "core/evaluation.h"

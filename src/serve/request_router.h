@@ -22,7 +22,7 @@
 // replica set, the down set, and the (query, now) sequence — no wall clock,
 // no RNG, no iteration over unordered containers; nearest-scan ties go to
 // the lowest NodeId. route_batch reproduces a route() loop bit for bit;
-// tests/serve pins both against the frozen reference in router_scalar.h.
+// tests/serve pins both against the frozen reference in reference/router_scalar.h.
 //
 // The router is single-threaded like every geored component; `now_ms` must
 // be non-decreasing across calls (simulator event order provides this).

@@ -1,11 +1,15 @@
-#include "core/aggregation.h"
-
+// The two-level aggregation tree: plan_aggregation's aggregator choice and
+// HierarchicalCollector's collection over the simulated network, against
+// the flat-collection baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
 #include "common/random.h"
+#include "core/epoch_pipeline.h"
+#include "reference/flat_collection.h"
 #include "topology/topology.h"
 
 namespace geored::core {
@@ -49,6 +53,14 @@ struct AggWorld {
       }
       sources.push_back(std::move(source));
     }
+  }
+
+  /// One tree collection over a fresh simulator, with root 0 and the plan
+  /// seeded 7 (the seed every plan in this file uses).
+  CollectedSummaries collect_tree(const AggregationConfig& config, sim::Simulator& simulator,
+                                  sim::Network& network) const {
+    HierarchicalCollector collector(simulator, network, /*root=*/0, config);
+    return collector.collect(sources, {candidates, 3, 7});
   }
 
   std::uint64_t total_count() const {
@@ -99,14 +111,13 @@ TEST(Aggregation, TreeConservesAccessCounts) {
   AggregationConfig config;
   config.max_clusters_per_aggregator = 16;
   const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto result =
-      run_aggregation(simulator, network, plan, world.sources, /*root=*/0, config);
+  const auto result = world.collect_tree(config, simulator, network);
   std::uint64_t merged_count = 0;
-  for (const auto& micro : result.merged) merged_count += micro.count();
+  for (const auto& micro : result.summaries) merged_count += micro.count();
   EXPECT_EQ(merged_count, world.total_count());
-  EXPECT_GT(result.completion_ms, 0.0);
+  EXPECT_GT(simulator.now(), 0.0);  // completion: the root had everything
   // Root holds at most aggregators * m-hat clusters.
-  EXPECT_LE(result.merged.size(), plan.aggregators.size() * 16);
+  EXPECT_LE(result.summaries.size(), plan.aggregators.size() * 16);
 }
 
 TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
@@ -116,18 +127,18 @@ TEST(Aggregation, RootBandwidthIsBoundedUnlikeFlat) {
 
   sim::Simulator tree_sim;
   sim::Network tree_net(tree_sim, world.topology);
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  const auto tree = world.collect_tree(config, tree_sim, tree_net);
 
   sim::Simulator flat_sim;
   sim::Network flat_net(flat_sim, world.topology);
   const auto flat = run_flat_collection(flat_sim, flat_net, world.sources, 0);
 
-  EXPECT_LT(tree.bytes_into_root, flat.bytes_into_root / 2);
+  // summary_bytes is what the root received.
+  EXPECT_LT(tree.summary_bytes, flat.summary_bytes / 2);
   // Both deliver all the mass.
   std::uint64_t tree_count = 0, flat_count = 0;
-  for (const auto& micro : tree.merged) tree_count += micro.count();
-  for (const auto& micro : flat.merged) flat_count += micro.count();
+  for (const auto& micro : tree.summaries) tree_count += micro.count();
+  for (const auto& micro : flat.summaries) flat_count += micro.count();
   EXPECT_EQ(tree_count, flat_count);
 }
 
@@ -139,12 +150,11 @@ TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
   sim::Network network(simulator, world.topology);
   AggregationConfig config;
   config.max_clusters_per_aggregator = 12;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-  const auto result = run_aggregation(simulator, network, plan, world.sources, 0, config);
+  const auto result = world.collect_tree(config, simulator, network);
   for (std::size_t centre = 0; centre < 8; ++centre) {
     const Point target{100.0 * static_cast<double>(centre)};
     double best = 1e18;
-    for (const auto& micro : result.merged) {
+    for (const auto& micro : result.summaries) {
       best = std::min(best, micro.centroid().distance_to(target));
     }
     EXPECT_LT(best, 30.0) << "population " << centre;
@@ -153,19 +163,38 @@ TEST(Aggregation, MergedSummaryPreservesPopulationGeometry) {
 
 TEST(Aggregation, TwoHopCollectionTakesLongerThanFlat) {
   const AggWorld world(10, 40, 11);
-  AggregationConfig config;
-  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
-
   sim::Simulator tree_sim;
   sim::Network tree_net(tree_sim, world.topology);
-  const auto tree = run_aggregation(tree_sim, tree_net, plan, world.sources, 0, config);
+  world.collect_tree({}, tree_sim, tree_net);
 
   sim::Simulator flat_sim;
   sim::Network flat_net(flat_sim, world.topology);
-  const auto flat = run_flat_collection(flat_sim, flat_net, world.sources, 0);
+  run_flat_collection(flat_sim, flat_net, world.sources, 0);
 
-  // The bandwidth saving costs one extra hop of latency.
-  EXPECT_GE(tree.completion_ms, flat.completion_ms);
+  // The bandwidth saving costs one extra hop of latency: both collections
+  // run their simulator to completion, so now() is when the root had all.
+  EXPECT_GE(tree_sim.now(), flat_sim.now());
+}
+
+TEST(Aggregation, NearestAggregatorTiesGoToFirstInAggregatorOrder) {
+  // Every candidate at one point: every source is equidistant from every
+  // aggregator, and the strict-`<` first-winner rule hands each one to the
+  // first aggregator in plan order — list order, not the lowest NodeId.
+  // The candidates are listed in descending NodeId order so the two rules
+  // disagree.
+  AggWorld world(10, 20, 13);
+  std::reverse(world.candidates.begin(), world.candidates.end());
+  for (auto& candidate : world.candidates) candidate.coords = Point{450.0};
+  AggregationConfig config;
+  config.aggregator_count = 3;
+  const auto plan = plan_aggregation(world.candidates, world.sources, config, 7);
+  ASSERT_EQ(plan.aggregators.size(), 3u);
+  ASSERT_NE(plan.aggregators.front(),
+            *std::min_element(plan.aggregators.begin(), plan.aggregators.end()))
+      << "the case must tell list order from NodeId order";
+  for (const auto& source : world.sources) {
+    EXPECT_EQ(plan.parent.at(source.node), plan.aggregators.front()) << source.node;
+  }
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(CollectorJitter, DecentralizedIsBitReproducibleUnderJitter) {
   auto run = [&] {
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology, jittery());
-    DecentralizedCollector collector(simulator, network, nullptr);
+    DecentralizedCollector collector(simulator, network);
     const CollectedSummaries collected =
         collector.collect(world.sources, {world.candidates, 3, 29});
     EXPECT_TRUE(collected.agreed_proposal.has_value());
@@ -117,7 +117,7 @@ TEST(CollectorJitter, DecentralizedAgreementSurvivesJitter) {
     const JitterWorld world(8, 4, seed);
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology, jittery());
-    DecentralizedCollector collector(simulator, network, nullptr);
+    DecentralizedCollector collector(simulator, network);
     const CollectedSummaries collected =
         collector.collect(world.sources, {world.candidates, 3, seed * 101});
     EXPECT_TRUE(collected.agreed_proposal.has_value()) << "seed " << seed;

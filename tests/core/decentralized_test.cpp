@@ -1,13 +1,13 @@
-#include "core/decentralized.h"
-
+// Decentralized placement epochs through DecentralizedCollector: the
+// replicas exchange summaries all-to-all and each decides locally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "common/random.h"
+#include "core/epoch_pipeline.h"
 #include "placement/strategy.h"
-#include "placement/evaluate.h"
 #include "topology/topology.h"
 
 namespace geored::core {
@@ -16,7 +16,7 @@ namespace {
 struct DecWorld {
   topo::Topology topology;
   std::vector<place::CandidateInfo> candidates;
-  std::map<topo::NodeId, std::vector<cluster::MicroCluster>> summaries;
+  std::vector<SummarySource> sources;  ///< one per replica holder, in node order
 
   explicit DecWorld(std::size_t dc_count, std::size_t replicas, std::uint64_t seed)
       : topology(topo::Topology(std::vector<topo::NodeInfo>(0), SymMatrix(0), {})) {
@@ -50,24 +50,33 @@ struct DecWorld {
         }
         clusters.push_back(micro);
       }
-      summaries.emplace(static_cast<topo::NodeId>(r), std::move(clusters));
+      sources.push_back({static_cast<topo::NodeId>(r), std::move(clusters)});
     }
+  }
+
+  /// One decentralized epoch over `simulator`'s network at degree `k`.
+  CollectedSummaries collect(sim::Simulator& simulator, sim::Network& network, std::size_t k,
+                             std::uint64_t epoch_seed) const {
+    DecentralizedCollector collector(simulator, network);
+    return collector.collect(sources, {candidates, k, epoch_seed});
   }
 };
 
+std::size_t summary_messages(const sim::Network& network) {
+  return network.stats().messages[static_cast<std::size_t>(sim::TrafficClass::kSummary)];
+}
+
 TEST(Decentralized, AllReplicasAgreeOnTheProposal) {
+  // collect() checks that every replica decided and that all decisions are
+  // identical (an InternalError otherwise), then returns the agreed one.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     DecWorld world(12, 3, seed);
     sim::Simulator simulator;
     sim::Network network(simulator, world.topology);
-    const auto strategy = place::make_strategy("online");
-    const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                                world.summaries, 3, seed, *strategy);
-    EXPECT_TRUE(result.agreement) << "seed " << seed;
-    ASSERT_EQ(result.per_replica.size(), 3u);
-    for (const auto& decision : result.per_replica) {
-      EXPECT_EQ(decision, result.proposal);
-    }
+    CollectedSummaries collected;
+    ASSERT_NO_THROW(collected = world.collect(simulator, network, 3, seed)) << "seed " << seed;
+    ASSERT_TRUE(collected.agreed_proposal.has_value()) << "seed " << seed;
+    EXPECT_EQ(collected.agreed_proposal->size(), 3u);
   }
 }
 
@@ -75,68 +84,63 @@ TEST(Decentralized, MatchesTheCentralizedComputation) {
   DecWorld world(10, 3, 7);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  const auto strategy = place::make_strategy("online");
-  const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 3, 99, *strategy);
+  const auto collected = world.collect(simulator, network, 3, 99);
 
   // Central reference: identical summaries in source-id order + same seed.
   place::PlacementInput input;
   input.candidates = world.candidates;
   input.k = 3;
   input.seed = 99;
-  for (const auto& [source, clusters] : world.summaries) {
-    for (const auto& micro : clusters) input.summaries.push_back(micro);
+  for (const auto& source : world.sources) {
+    for (const auto& micro : source.clusters) input.summaries.push_back(micro);
   }
   const auto central = place::make_strategy("online")->place(input);
-  EXPECT_EQ(result.proposal, central);
+  ASSERT_TRUE(collected.agreed_proposal.has_value());
+  EXPECT_EQ(*collected.agreed_proposal, central);
+  // The collected summaries are that same source-ordered input.
+  EXPECT_EQ(collected.summaries.size(), input.summaries.size());
 }
 
 TEST(Decentralized, ExchangesKSquaredSummaries) {
   DecWorld world(12, 4, 3);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  const auto strategy = place::make_strategy("online");
-  const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 3, 1, *strategy);
-  const auto& stats = network.stats();
-  EXPECT_EQ(stats.messages[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
-            4u * 3u);  // k*(k-1) with k = 4 holders
-  EXPECT_GT(result.summary_bytes, 0u);
-  // Completion bounded by the slowest pairwise half-RTT among holders.
+  const auto collected = world.collect(simulator, network, 3, 1);
+  EXPECT_EQ(summary_messages(network), 4u * 3u);  // k*(k-1) with k = 4 holders
+  EXPECT_GT(collected.summary_bytes, 0u);
+  EXPECT_EQ(collected.summary_bytes,
+            network.stats().bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)]);
+  // Completion (the simulator runs to the last decision) is the slowest
+  // pairwise half-RTT among holders.
   double worst = 0.0;
   for (topo::NodeId a = 0; a < 4; ++a) {
     for (topo::NodeId b = 0; b < 4; ++b) {
       if (a != b) worst = std::max(worst, world.topology.rtt_ms(a, b) / 2.0);
     }
   }
-  EXPECT_NEAR(result.completion_ms, worst, 1e-9);
+  EXPECT_NEAR(simulator.now(), worst, 1e-9);
 }
 
 TEST(Decentralized, SingleReplicaDecidesAlone) {
   DecWorld world(8, 1, 11);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  const auto strategy = place::make_strategy("online");
-  const auto result = run_decentralized_epoch(simulator, network, world.candidates,
-                                              world.summaries, 2, 5, *strategy);
-  EXPECT_TRUE(result.agreement);
-  EXPECT_EQ(result.per_replica.size(), 1u);
-  EXPECT_EQ(result.proposal.size(), 2u);
-  EXPECT_EQ(network.stats().messages[static_cast<std::size_t>(sim::TrafficClass::kSummary)],
-            0u);
+  const auto collected = world.collect(simulator, network, 2, 5);
+  ASSERT_TRUE(collected.agreed_proposal.has_value());
+  EXPECT_EQ(collected.agreed_proposal->size(), 2u);
+  EXPECT_EQ(summary_messages(network), 0u);
+  EXPECT_EQ(collected.summary_bytes, 0u);
+  EXPECT_EQ(simulator.now(), 0.0);
 }
 
 TEST(Decentralized, ValidatesArguments) {
   DecWorld world(8, 2, 1);
   sim::Simulator simulator;
   sim::Network network(simulator, world.topology);
-  const auto strategy = place::make_strategy("online");
-  EXPECT_THROW(
-      run_decentralized_epoch(simulator, network, {}, world.summaries, 2, 1, *strategy),
-      std::invalid_argument);
-  EXPECT_THROW(
-      run_decentralized_epoch(simulator, network, world.candidates, {}, 2, 1, *strategy),
-      std::invalid_argument);
+  DecentralizedCollector collector(simulator, network);
+  const std::vector<place::CandidateInfo> no_candidates;
+  EXPECT_THROW(collector.collect(world.sources, {no_candidates, 2, 1}), std::invalid_argument);
+  EXPECT_THROW(collector.collect({}, {world.candidates, 2, 1}), std::invalid_argument);
 }
 
 }  // namespace

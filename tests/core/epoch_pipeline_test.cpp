@@ -16,6 +16,7 @@
 #include "common/serialize.h"
 #include "core/replication_manager.h"
 #include "placement/strategy.h"
+#include "reference/redistribute_scalar.h"
 
 namespace geored::core {
 namespace {
@@ -114,16 +115,12 @@ TEST(EpochPipeline, DefaultCompositionMatchesPreRefactorGolden) {
 }
 
 TEST(EpochPipeline, ExplicitCompositionMatchesLegacyConstructor) {
-  // Building the stages by hand must be indistinguishable from the
+  // Building the pipeline by hand must be indistinguishable from the
   // config-driven constructor — same reports, bit for bit, every epoch.
   const ManagerConfig config = golden_config();
   ReplicationManager legacy(line_candidates(), config, 7);
   EpochPipeline pipeline;
   pipeline.collector = make_collector("direct");
-  pipeline.proposer = std::make_unique<ClusteringProposer>(config.strategy,
-                                                           config.warm_start_macro_clusters);
-  pipeline.gate = std::make_unique<PolicyGate>(config.migration);
-  pipeline.adopter = std::make_unique<NearestRedistributionAdopter>();
   ReplicationManager explicit_stages(line_candidates(), config, 7, std::move(pipeline));
 
   Rng legacy_rng(5);
@@ -136,32 +133,8 @@ TEST(EpochPipeline, ExplicitCompositionMatchesLegacyConstructor) {
   }
 }
 
-TEST(EpochPipeline, StrategyProposerMatchesLegacyForStatelessStrategies) {
-  // A registry strategy without a warm-start cache still composes: offline
-  // k-means through StrategyProposer proposes exactly what the bare
-  // strategy would.
-  const auto candidates = line_candidates();
-  place::PlacementInput input;
-  input.candidates = candidates;
-  input.k = 3;
-  input.seed = 11;
-  Rng rng(2);
-  for (int i = 0; i < 300; ++i) {
-    place::ClientRecord record;
-    record.client = 0;
-    record.coords = Point{rng.uniform(0.0, 900.0)};
-    record.access_count = 1;
-    input.clients.push_back(record);
-  }
-
-  StrategyProposer proposer(place::make_strategy("offline_kmeans"));
-  EXPECT_EQ(proposer.name(), place::make_strategy("offline_kmeans")->name());
-  EXPECT_EQ(proposer.propose(input), place::make_strategy("offline_kmeans")->place(input));
-  EXPECT_TRUE(proposer.warm_centroids().empty());  // no cache to persist
-}
-
 TEST(EpochPipeline, RejectsIncompletePipelines) {
-  EpochPipeline pipeline;  // all stages null
+  EpochPipeline pipeline;  // no collector
   EXPECT_THROW(
       ReplicationManager(line_candidates(), golden_config(), 7, std::move(pipeline)),
       std::invalid_argument);
@@ -214,10 +187,10 @@ std::vector<std::pair<topo::NodeId, std::vector<std::uint8_t>>> serialized_summa
   return out;
 }
 
-// The kernelized NearestRedistributionAdopter is byte-identical to the frozen
-// scalar reference (the doc contract in epoch_pipeline.h): same summarizer
-// map keys, same serialized cluster bytes per replica, after both adopt()
-// (nearest-replica redistribution) and retain() (decay aging). Large enough
+// The kernelized redistribute_summaries is byte-identical to the frozen
+// scalar reference redistribute_summaries_scalar: same summarizer map keys,
+// same serialized cluster bytes per replica, after both the redistribution
+// and the decay aging the epoch applies to retained summaries. Large enough
 // summary counts to cross the parallel-dispatch threshold, plus degenerate
 // shapes: empty summaries, a single replica, and coincident candidates.
 TEST(EpochPipeline, AdopterMatchesScalar) {
@@ -241,18 +214,16 @@ TEST(EpochPipeline, AdopterMatchesScalar) {
       summaries.push_back(micro);
     }
 
-    NearestRedistributionAdopter fast;
-    ScalarNearestRedistributionAdopter scalar;
     std::map<topo::NodeId, cluster::MicroClusterSummarizer> fast_map, scalar_map;
-    fast.adopt(next, summaries, candidates, config, fast_map);
-    scalar.adopt(next, summaries, candidates, config, scalar_map);
+    redistribute_summaries(next, summaries, candidates, config, fast_map);
+    redistribute_summaries_scalar(next, summaries, candidates, config, scalar_map);
     EXPECT_EQ(serialized_summarizers(fast_map), serialized_summarizers(scalar_map))
-        << label << ": adopt() diverged";
+        << label << ": redistribution diverged";
 
-    fast.retain(fast_map);
-    scalar.retain(scalar_map);
+    for (auto& [node, summarizer] : fast_map) summarizer.decay();
+    for (auto& [node, summarizer] : scalar_map) summarizer.decay();
     EXPECT_EQ(serialized_summarizers(fast_map), serialized_summarizers(scalar_map))
-        << label << ": retain() diverged";
+        << label << ": decay diverged";
   };
 
   const auto candidates = line_candidates();

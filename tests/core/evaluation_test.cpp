@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/thread_pool.h"
+#include "core/epoch_pipeline.h"
 
 namespace geored::core {
 namespace {
@@ -157,8 +158,9 @@ TEST(Evaluation, OutcomeLookupByKind) {
 TEST(Evaluation, ParallelRunsAreBitIdenticalToSerial) {
   // Runs spread over the global pool; each run's own pool work (the rpc
   // collector's fetch fan-out, the evaluators) runs inline in its chunk.
+  // Every registered collector, the simulated-network ones included.
   const GlobalPoolGuard guard;
-  for (const std::string collector : {"direct", "rpc"}) {
+  for (const std::string& collector : collector_names()) {
     ExperimentConfig config = quick_config();
     config.collector = collector;
     ThreadPool::set_global_thread_count(1);

@@ -18,7 +18,9 @@ ScenarioError expect_error(const std::string& text, ScenarioError::Kind kind,
     parse_scenario(text);
   } catch (const ScenarioError& error) {
     EXPECT_EQ(error.kind(), kind) << error.what();
-    if (!path.empty()) EXPECT_EQ(error.path(), path) << error.what();
+    if (!path.empty()) {
+      EXPECT_EQ(error.path(), path) << error.what();
+    }
     return error;
   }
   ADD_FAILURE() << "expected ScenarioError for: " << text;

@@ -5,12 +5,13 @@ One rule table drives every check. A rule has a name, a pattern matched
 against each comment/string-stripped line (or a whole-file finder), a scope,
 path allowlists, and optionally a `// lint: ...` marker that suppresses a
 finding on its line. Every rule covers the library (src/); the rules marked
-[drivers] also cover bench/, examples/ and the CLI (tools/geored.cpp):
-drivers ship alongside the library and must model its idioms — a raw assert
-in an example teaches users the wrong pattern, and an unseeded RNG in a
-bench makes its numbers unreproducible. The rest stay src/-only:
-entry-point validation is a library-API contract, and bench timing loops and
-harnesses legitimately read the real clock and start threads.
+[drivers] also cover bench/, examples/, the frozen references (reference/)
+and the CLI (tools/geored.cpp): drivers ship alongside the library and must
+model its idioms — a raw assert in an example teaches users the wrong
+pattern, and an unseeded RNG in a bench makes its numbers unreproducible.
+The rest stay src/-only: entry-point validation is a library-API contract,
+and bench timing loops and harnesses legitimately read the real clock and
+start threads.
 
   no-raw-assert    [drivers] No raw `assert(...)`: invariants use
                    GEORED_ENSURE / GEORED_CHECK / GEORED_DCHECK so they throw
@@ -21,8 +22,8 @@ harnesses legitimately read the real clock and start threads.
                    stream flows through geored::Rng, seeded explicitly.
   pragma-once      [drivers] Every header has `#pragma once`.
   registry-only    [drivers] No direct OnlineClusteringPlacement construction
-                   outside src/placement/ and the pipeline factory
-                   (src/core/epoch_pipeline.cpp): callers go through
+                   outside src/placement/ and the epoch's propose step
+                   (src/core/replication_manager.cpp): callers go through
                    place::make_strategy("online") or make_collector so every
                    decision rule stays registry-addressable.
   ensure-on-entry  Public entry points (non-static free functions and public
@@ -203,7 +204,7 @@ class Rule:
     message: str
     pattern: re.Pattern[str] | None = None  # searched in each stripped line
     find: Callable[[FileLint], Iterable[int]] | None = None  # or a whole-file finder
-    drivers: bool = False  # also covers bench/, examples/, tools/geored.cpp
+    drivers: bool = False  # also covers bench/, examples/, reference/, tools/geored.cpp
     allow: tuple[str, ...] = ()  # exempt path prefixes (a file path exempts itself)
     only: tuple[str, ...] = ()  # when set, the rule covers just these files
     suppress: str | None = None  # marker that waives a finding on its line
@@ -248,7 +249,7 @@ RULES = (
     Rule(
         "registry-only",
         'construct OnlineClusteringPlacement through place::make_strategy("online") '
-        "or the epoch-pipeline factories, not directly",
+        "or the epoch's propose step, not directly",
         # `new`, make_unique / make_shared, a temporary, or a named local.
         pattern=re.compile(
             r"new\s+(?:place::)?OnlineClusteringPlacement\b"
@@ -257,7 +258,7 @@ RULES = (
             r"|\bOnlineClusteringPlacement\s+\w+\s*[;({]"
         ),
         drivers=True,
-        allow=("src/placement/", "src/core/epoch_pipeline.cpp"),
+        allow=("src/placement/", "src/core/replication_manager.cpp"),
     ),
     Rule(
         "ensure-on-entry",
@@ -460,7 +461,7 @@ def collect_files(root: pathlib.Path) -> tuple[list[pathlib.Path], list[pathlib.
         return [p for p in sorted(tree.rglob("*")) if p.suffix in (".cpp", ".h")]
 
     library = sources(root / "src")
-    drivers = [p for tree in ("bench", "examples") for p in sources(root / tree)]
+    drivers = [p for tree in ("bench", "examples", "reference") for p in sources(root / tree)]
     cli = root / "tools" / "geored.cpp"
     if cli.is_file():
         drivers.append(cli)
