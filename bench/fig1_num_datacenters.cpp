@@ -66,12 +66,14 @@ int main() {
   }
 
   std::printf("\npaper-shape checks:\n");
-  bench::print_check("online clustering improves with more data centers",
-                     last_online < first_online);
-  bench::print_check("optimal improves with more data centers", last_optimal < first_optimal);
-  bench::print_check("online clustering near optimal at 20 DCs (within 35%)",
-                     online_at_20 < 1.35 * optimal_at_20);
-  bench::print_check("online clustering >=25% below random at 20 DCs",
-                     online_at_20 < 0.75 * random_at_20);
-  return 0;
+  bool all_pass = true;
+  all_pass &= bench::print_check("online clustering improves with more data centers",
+                                 last_online < first_online);
+  all_pass &= bench::print_check("optimal improves with more data centers",
+                                 last_optimal < first_optimal);
+  all_pass &= bench::print_check("online clustering near optimal at 20 DCs (within 35%)",
+                                 online_at_20 < 1.35 * optimal_at_20);
+  all_pass &= bench::print_check("online clustering >=25% below random at 20 DCs",
+                                 online_at_20 < 0.75 * random_at_20);
+  return all_pass ? 0 : 1;
 }

@@ -47,22 +47,26 @@ int main() {
   }
 
   std::printf("\npaper-shape checks:\n");
-  bench::print_check("optimal delay decreases monotonically in k",
-                     std::is_sorted(optimal_by_k.rbegin(), optimal_by_k.rend()));
-  bench::print_check("online delay decreases from k=1 to k=7",
-                     online_by_k.back() < online_by_k.front());
+  bool all_pass = true;
+  all_pass &= bench::print_check("optimal delay decreases monotonically in k",
+                                 std::is_sorted(optimal_by_k.rbegin(), optimal_by_k.rend()));
+  all_pass &= bench::print_check("online delay decreases from k=1 to k=7",
+                                 online_by_k.back() < online_by_k.front());
   const double early_gain = optimal_by_k[0] - optimal_by_k[3];   // k 1 -> 4
   const double late_gain = optimal_by_k[3] - optimal_by_k[6];    // k 4 -> 7
-  bench::print_check("diminishing returns after ~4 replicas", late_gain < early_gain / 2.0);
+  all_pass &= bench::print_check("diminishing returns after ~4 replicas",
+                                 late_gain < early_gain / 2.0);
   bool online_beats_random = true;
   for (std::size_t i = 1; i < online_by_k.size(); ++i) {  // paper states k>=2 margin
     online_beats_random &= online_by_k[i] < 0.75 * random_by_k[i];
   }
-  bench::print_check("online >=25% below random for every k >= 2", online_beats_random);
+  all_pass &=
+      bench::print_check("online >=25% below random for every k >= 2", online_beats_random);
   bool online_near_optimal = true;
   for (std::size_t i = 0; i < online_by_k.size(); ++i) {
     online_near_optimal &= online_by_k[i] < 1.5 * optimal_by_k[i];
   }
-  bench::print_check("online within 1.5x of optimal for every k", online_near_optimal);
-  return 0;
+  all_pass &=
+      bench::print_check("online within 1.5x of optimal for every k", online_near_optimal);
+  return all_pass ? 0 : 1;
 }

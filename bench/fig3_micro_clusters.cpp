@@ -60,10 +60,13 @@ int main() {
     std::printf("  m=%zu: %.2f", micro_budgets[mi], mean_by_m[mi]);
   }
   std::printf("\n\npaper-shape checks:\n");
-  bench::print_check("m=1 is visibly worse than m=4", mean_by_m[0] > 1.05 * mean_by_m[2]);
-  bench::print_check("m=4 nearly saturates (within 5% of m=11)",
-                     mean_by_m[2] < 1.05 * mean_by_m[4]);
-  bench::print_check("quality never degrades much beyond m=4",
-                     mean_by_m[3] < 1.05 * mean_by_m[2] && mean_by_m[4] < 1.05 * mean_by_m[2]);
-  return 0;
+  bool all_pass = true;
+  all_pass &= bench::print_check("m=1 is visibly worse than m=4",
+                                 mean_by_m[0] > 1.05 * mean_by_m[2]);
+  all_pass &= bench::print_check("m=4 nearly saturates (within 5% of m=11)",
+                                 mean_by_m[2] < 1.05 * mean_by_m[4]);
+  all_pass &= bench::print_check(
+      "quality never degrades much beyond m=4",
+      mean_by_m[3] < 1.05 * mean_by_m[2] && mean_by_m[4] < 1.05 * mean_by_m[2]);
+  return all_pass ? 0 : 1;
 }

@@ -1087,7 +1087,8 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.help().c_str());
     return 0;
   }
-  const auto threads = static_cast<std::size_t>(std::max<std::int64_t>(0, flags.get_int("threads")));
+  const auto threads =
+      static_cast<std::size_t>(std::max<std::int64_t>(0, flags.get_int("threads")));
   if (threads > 0) ThreadPool::set_global_thread_count(threads);
   const std::size_t used_threads = ThreadPool::global().thread_count();
   const auto repeats =

@@ -15,7 +15,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
+#include "bench_util.h"
 #include "cluster/kmeans.h"
 #include "cluster/summarizer.h"
 #include "common/random.h"
@@ -93,7 +95,8 @@ void BM_SummarizerPerAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_SummarizerPerAccess)->Arg(4)->Arg(25)->Arg(100);
 
-void print_bandwidth_table() {
+/// Prints Table II and its shape checks; true when every check passes.
+bool print_bandwidth_table() {
   std::printf("\n==============================================================\n");
   std::printf("Table II (measured): bytes shipped to the central server per placement\n");
   std::printf("k = %zu replicas; online ships k*m micro-clusters, offline ships\n",
@@ -124,12 +127,15 @@ void print_bandwidth_table() {
     }
   }
   std::printf("\npaper-shape checks:\n");
-  std::printf("  [%s] online bandwidth independent of n; offline grows linearly\n",
-              online_always_smaller_beyond_1k ? "PASS" : "FAIL");
+  bool all_pass = true;
+  all_pass &= bench::print_check("online bandwidth independent of n; offline grows linearly",
+                                 online_always_smaller_beyond_1k);
   ByteWriter one;
   build_summary(100, 10000, 3).front().serialize(one);
-  std::printf("  [%s] each micro-cluster under 1 KB on the wire (paper: <1KB): %zu B\n",
-              one.size() < 1024 ? "PASS" : "FAIL", one.size());
+  all_pass &= bench::print_check("each micro-cluster under 1 KB on the wire (paper: <1KB): " +
+                                     std::to_string(one.size()) + " B",
+                                 one.size() < 1024);
+  return all_pass;
 }
 
 }  // namespace
@@ -138,6 +144,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  print_bandwidth_table();
-  return 0;
+  return print_bandwidth_table() ? 0 : 1;
 }

@@ -95,7 +95,8 @@ int main() {
     const std::uint64_t reads = kv.reads() - reads_before;
     const std::uint64_t writes = kv.writes() - writes_before;
     const double get_mean = (kv.get_latency().sum() - get_before) / static_cast<double>(reads);
-    const double put_mean = (kv.put_latency().sum() - put_before) / static_cast<double>(writes);
+    const double put_mean =
+        (kv.put_latency().sum() - put_before) / static_cast<double>(writes);
     const std::uint64_t stale = kv.stale_reads() - stale_before;
 
     const auto reports = kv.run_placement_epochs();

@@ -13,8 +13,8 @@ namespace {
 double quorum_latency(std::vector<double>& latencies, std::size_t quorum) {
   GEORED_ENSURE(quorum >= 1 && quorum <= latencies.size(),
                 "quorum must be within [1, #replicas]");
-  std::nth_element(latencies.begin(), latencies.begin() + static_cast<std::ptrdiff_t>(quorum - 1),
-                   latencies.end());
+  const auto nth = latencies.begin() + static_cast<std::ptrdiff_t>(quorum - 1);
+  std::nth_element(latencies.begin(), nth, latencies.end());
   return latencies[quorum - 1];
 }
 

@@ -176,7 +176,8 @@ KMeansResult lloyd_scalar(const FlatPoints& points, PointSet centroids,
         "k-means iteration lost or invented point weight");
     GEORED_DCHECK(centroids_finite(centroids, dim),
                   "k-means produced a non-finite centroid");
-    const double objective = objective_of(points, centroids, best_dist_sq.data(), assignment.data());
+    const double objective =
+        objective_of(points, centroids, best_dist_sq.data(), assignment.data());
     assignment_current = true;  // now reflects the post-update centroids
     // The isfinite guard keeps the first iteration from "converging" against
     // the infinite sentinel (inf - obj <= tol * inf holds in IEEE arithmetic).

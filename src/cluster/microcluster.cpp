@@ -45,8 +45,9 @@ MicroCluster MicroCluster::from_moments(std::uint64_t count, double weight, Poin
   cluster.weight_ = weight;
   cluster.sum_ = std::move(sum);
   cluster.sum2_ = std::move(sum2);
-  GEORED_DCHECK(moments_consistent(cluster.count_, cluster.weight_, cluster.sum_, cluster.sum2_),
-                "from_moments given inconsistent moments");
+  GEORED_DCHECK(
+      moments_consistent(cluster.count_, cluster.weight_, cluster.sum_, cluster.sum2_),
+      "from_moments given inconsistent moments");
   return cluster;
 }
 

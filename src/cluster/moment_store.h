@@ -95,11 +95,9 @@ inline constexpr std::size_t kScanFallback = static_cast<std::size_t>(-1);
 /// bit-identical to the scalar scan. NaN distances (only possible from
 /// non-finite coordinates) would not survive the min reduction faithfully,
 /// so any NaN defers to the scalar scan via kScanFallback.
-__attribute__((target("avx2"))) inline std::size_t nearest8_avx2(const double* tcols,
-                                                                 std::size_t stride,
-                                                                 std::size_t n, std::size_t d_n,
-                                                                 const double* q,
-                                                                 double* out_dist) {
+__attribute__((target("avx2"))) inline std::size_t nearest8_avx2(
+    const double* tcols, std::size_t stride, std::size_t n, std::size_t d_n, const double* q,
+    double* out_dist) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   for (std::size_t d = 0; d < d_n; ++d) {

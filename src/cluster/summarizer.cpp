@@ -22,7 +22,8 @@ void MicroClusterSummarizer::add(const Point& coords, double weight) {
   add_row(coords.values().data(), coords.dim(), weight);
 }
 
-void MicroClusterSummarizer::add_batch(const PointSet& coords, std::span<const double> weights) {
+void MicroClusterSummarizer::add_batch(const PointSet& coords,
+                                       std::span<const double> weights) {
   GEORED_ENSURE(weights.empty() || weights.size() == coords.size(),
                 "add_batch weight count must match row count");
   const std::size_t n = coords.size();

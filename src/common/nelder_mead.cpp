@@ -9,7 +9,8 @@ namespace geored {
 
 namespace {
 
-std::vector<double> axpy(const std::vector<double>& a, double s, const std::vector<double>& b) {
+std::vector<double> axpy(const std::vector<double>& a, double s,
+                         const std::vector<double>& b) {
   std::vector<double> out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * (b[i] - a[i]);
   return out;
@@ -17,8 +18,9 @@ std::vector<double> axpy(const std::vector<double>& a, double s, const std::vect
 
 }  // namespace
 
-NelderMeadResult nelder_mead(const std::function<double(const std::vector<double>&)>& objective,
-                             std::vector<double> start, const NelderMeadOptions& options) {
+NelderMeadResult nelder_mead(
+    const std::function<double(const std::vector<double>&)>& objective,
+    std::vector<double> start, const NelderMeadOptions& options) {
   GEORED_ENSURE(!start.empty(), "nelder_mead requires a non-empty start point");
   const std::size_t n = start.size();
 

@@ -117,7 +117,8 @@ class PointSet {
       const simd::Level level = simd::active_level();
       if (level != simd::Level::kScalar) {
         double dist = 0.0;
-        const std::size_t best = simd::nearest_row(data_.data(), n_, dim_, query, &dist, level);
+        const std::size_t best =
+            simd::nearest_row(data_.data(), n_, dim_, query, &dist, level);
         if (best_dist_sq != nullptr) *best_dist_sq = dist;
         return best;
       }

@@ -21,8 +21,9 @@ namespace {
 
 const place::CandidateInfo& find_candidate(const std::vector<place::CandidateInfo>& candidates,
                                            topo::NodeId node) {
-  const auto it = std::find_if(candidates.begin(), candidates.end(),
-                               [node](const place::CandidateInfo& c) { return c.node == node; });
+  const auto it =
+      std::find_if(candidates.begin(), candidates.end(),
+                   [node](const place::CandidateInfo& c) { return c.node == node; });
   GEORED_ENSURE(it != candidates.end(), "node is not a candidate data center");
   return *it;
 }

@@ -161,8 +161,8 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     // so under heavy fault injection some sources simply contribute nothing.
     CollectorConfig collector_config;
     collector_config.rpc = config.rpc;
-    summaries =
-        make_collector("rpc", collector_config)->collect(sources, {candidates, k, seed}).summaries;
+    const auto collector = make_collector("rpc", collector_config);
+    summaries = collector->collect(sources, {candidates, k, seed}).summaries;
   } else {
     sim::Simulator simulator;
     sim::Network network(simulator, topology);

@@ -80,8 +80,8 @@ topo::NodeId ReplicationManager::serve(const Point& client_coords, double data_w
   return *best;
 }
 
-std::optional<topo::NodeId> ReplicationManager::route(const Point& client_coords,
-                                                      const std::set<topo::NodeId>& down) const {
+std::optional<topo::NodeId> ReplicationManager::route(
+    const Point& client_coords, const std::set<topo::NodeId>& down) const {
   GEORED_ENSURE(client_coords.dim() == panel_.dim(), "client coordinate dimension mismatch");
   const std::size_t row =
       panel_.nearest_up(client_coords.values().data(), nullptr,
@@ -120,7 +120,8 @@ void ReplicationManager::record_access(topo::NodeId replica, const Point& client
   }
 }
 
-void ReplicationManager::record_access_batch(topo::NodeId replica, const PointSet& client_coords,
+void ReplicationManager::record_access_batch(topo::NodeId replica,
+                                             const PointSet& client_coords,
                                              std::span<const double> data_weights) {
   const auto it = summarizers_.find(replica);
   GEORED_ENSURE(it != summarizers_.end(), "node does not currently hold a replica");
@@ -335,7 +336,8 @@ void ReplicationManager::restore(ByteReader& reader) {
   const std::uint32_t version = reader.read_u32();
   GEORED_ENSURE(version >= 1 && version <= kCheckpointVersion,
                 "unsupported checkpoint format version " + std::to_string(version) +
-                    " (this build reads versions 1.." + std::to_string(kCheckpointVersion) + ")");
+                    " (this build reads versions 1.." + std::to_string(kCheckpointVersion) +
+                    ")");
   const std::uint64_t epoch_index = reader.read_u64();
   const std::uint64_t epoch_accesses = reader.read_u64();
   const auto degree = static_cast<std::size_t>(reader.read_u64());

@@ -180,7 +180,8 @@ class ReplicationManager {
   /// Accesses are staged and ingested in batches of
   /// ManagerConfig::ingest_batch_grain; results are identical to immediate
   /// ingestion (see flush_ingest).
-  void record_access(topo::NodeId replica, const Point& client_coords, double data_weight = 1.0);
+  void record_access(topo::NodeId replica, const Point& client_coords,
+                     double data_weight = 1.0);
 
   /// Records a whole chunk of accesses served by `replica`: row i of
   /// `client_coords` with data_weights[i] (or 1.0 per row when

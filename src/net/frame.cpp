@@ -9,7 +9,9 @@ namespace geored::net {
 
 namespace {
 
-void put_u32(std::uint8_t* out, std::uint32_t value) { std::memcpy(out, &value, sizeof value); }
+void put_u32(std::uint8_t* out, std::uint32_t value) {
+  std::memcpy(out, &value, sizeof value);
+}
 
 std::uint32_t get_u32(const std::uint8_t* in) {
   std::uint32_t value;

@@ -24,17 +24,15 @@ namespace {
 /// retries a fresh verdict without the server tracking any client state.
 constexpr std::size_t kRequestBytes = 2 * sizeof(std::uint32_t);
 
-/// Accept-loop poll tick: how often the server checks its stop flag. Pure
-/// liveness plumbing, not time "spent" — hence not on the injected Clock.
-constexpr int kAcceptTickMs = 50;
-
 /// How long a dropping server holds an unanswered connection open waiting
 /// for the client to give up. The client's own timeout fires far sooner and
 /// closes the socket, which ends the drain; this bound only stops a handler
 /// thread from leaking if the peer wedges.
 constexpr int kDropHoldMs = 60 * 1000;
 
-void put_u32(std::uint8_t* out, std::uint32_t value) { std::memcpy(out, &value, sizeof value); }
+void put_u32(std::uint8_t* out, std::uint32_t value) {
+  std::memcpy(out, &value, sizeof value);
+}
 
 std::uint32_t get_u32(const std::uint8_t* in) {
   std::uint32_t value;
@@ -44,7 +42,9 @@ std::uint32_t get_u32(const std::uint8_t* in) {
 
 /// Serves the epoch's per-source payloads, sabotaging attempts as the fault
 /// injector directs. One accept-loop thread plus one short-lived thread per
-/// connection, all joined by the destructor before collect() returns.
+/// connection, all joined by the destructor before collect() returns. The
+/// accept loop blocks without a timeout; the destructor wakes it through
+/// Listener::interrupt(), so stopping the server waits for no poll tick.
 class SummaryServer {
  public:
   SummaryServer(std::vector<std::vector<std::uint8_t>> payloads, const FaultInjector& injector,
@@ -59,6 +59,9 @@ class SummaryServer {
 
   ~SummaryServer() {
     stop_.store(true);
+    // The one cross-thread Listener call: the accept thread owns listener_,
+    // and interrupt() only ends its (current and every later) wait.
+    listener_.interrupt();
     accept_thread_.join();
     // The accept loop is done, but the annotation (not the join ordering) is
     // what guarantees no handler registration races this drain.
@@ -77,8 +80,10 @@ class SummaryServer {
 
  private:
   void accept_loop() {
+    // nullopt is either the destructor's interrupt (stop_ is already set, and
+    // the interrupt is sticky) or a client that vanished before the accept.
     while (!stop_.load()) {
-      std::optional<Socket> conn = listener_.accept(kAcceptTickMs);
+      std::optional<Socket> conn = listener_.accept(/*timeout_ms=*/-1);
       if (!conn) continue;
       const MutexLock lock(handlers_mutex_);
       handlers_.emplace_back(

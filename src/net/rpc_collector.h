@@ -36,7 +36,8 @@ class RpcCollector final : public core::SummaryCollector {
   /// `clock` is the transport's only source of time (backoff sleeps and
   /// injected delays); null means the real SystemClock. Tests inject a
   /// VirtualClock so the whole retry state machine runs in zero wall time.
-  explicit RpcCollector(RpcCollectorConfig config = {}, std::shared_ptr<Clock> clock = nullptr);
+  explicit RpcCollector(RpcCollectorConfig config = {},
+                        std::shared_ptr<Clock> clock = nullptr);
 
   std::string name() const override { return "rpc"; }
 

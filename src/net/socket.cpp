@@ -1,6 +1,7 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -22,18 +23,24 @@ namespace {
   throw SocketError(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// Waits for `events` on `fd`. True when ready, false when the wait expired.
-bool wait_for(int fd, short events, int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = events;
+/// Polls `fds` until one is ready (true) or `timeout_ms` expires (false); a
+/// negative timeout waits without bound.
+bool poll_ready(pollfd* fds, nfds_t count, int timeout_ms) {
   while (true) {
-    const int ready = ::poll(&pfd, 1, timeout_ms);
+    const int ready = ::poll(fds, count, timeout_ms);
     if (ready > 0) return true;
     if (ready == 0) return false;
     if (errno == EINTR) continue;
     throw_errno("poll");
   }
+}
+
+/// Waits for `events` on `fd`. True when ready, false when the wait expired.
+bool wait_for(int fd, short events, int timeout_ms) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = events;
+  return poll_ready(&pfd, 1, timeout_ms);
 }
 
 }  // namespace
@@ -128,15 +135,40 @@ Listener::Listener() {
     throw_errno("getsockname");
   }
   port_ = ntohs(bound.sin_port);
+  if (::pipe2(wake_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    const int saved = errno;
+    ::close(fd_);
+    errno = saved;
+    throw_errno("pipe2 (wake)");
+  }
 }
 
 Listener::~Listener() {
   if (fd_ >= 0) ::close(fd_);
+  for (const int fd : wake_) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+void Listener::interrupt() noexcept {
+  // The pipe is never drained, so one byte keeps the read end readable for
+  // good. A full pipe (EAGAIN) is already readable; nothing else can fail on
+  // a pipe whose read end this object still holds open.
+  const unsigned char byte = 1;
+  while (::write(wake_[1], &byte, 1) < 0 && errno == EINTR) {
+  }
 }
 
 std::optional<Socket> Listener::accept(int timeout_ms) {
   GEORED_ENSURE(fd_ >= 0, "accept on a closed listener");
-  if (!wait_for(fd_, POLLIN, timeout_ms)) return std::nullopt;
+  pollfd pfds[2]{};
+  pfds[0].fd = wake_[0];
+  pfds[0].events = POLLIN;
+  pfds[1].fd = fd_;
+  pfds[1].events = POLLIN;
+  if (!poll_ready(pfds, 2, timeout_ms)) return std::nullopt;
+  // A pending interrupt wins over a pending client: stop means stop.
+  if (pfds[0].revents != 0) return std::nullopt;
   while (true) {
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client >= 0) return Socket(client);

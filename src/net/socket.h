@@ -10,15 +10,20 @@
 // fault-tolerant collector treats them as routine.
 //
 // Thread compatibility (deliberately NOT thread safety): a Socket or
-// Listener is a move-only single-owner resource with no internal locking —
-// exactly one thread may use an instance at a time, and ownership transfer
-// (handing an accepted Socket to a handler thread) is the only supported
-// cross-thread interaction. This is why the classes carry no capability
-// annotations from common/sync.h: there is no shared state to guard, and
-// adding a mutex here would paper over an ownership bug rather than fix it.
-// Concurrent use of *distinct* instances is always safe. The RPC layer
-// upholds the contract structurally: each fetch owns its client socket, and
-// each server handler thread owns the accepted connection it was moved.
+// Listener is a single-owner resource with no internal locking — exactly
+// one thread may use an instance at a time, and ownership transfer (handing
+// an accepted Socket to a handler thread) is the supported way to move one
+// between threads. The single documented exception is
+// Listener::interrupt(), which any thread may call at any time: it only
+// writes a byte into the listener's wake pipe, whose descriptors are fixed
+// at construction, so it touches no state the owning thread mutates. This
+// is why the classes carry no capability annotations from common/sync.h:
+// there is no shared state to guard, and adding a mutex here would paper
+// over an ownership bug rather than fix it. Concurrent use of *distinct*
+// instances is always safe. The RPC layer upholds the contract
+// structurally: each fetch owns its client socket, each server handler
+// thread owns the accepted connection it was moved, and the server's
+// accept thread owns the listener until the destructor interrupts it.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +82,8 @@ class Socket {
   int fd_ = -1;
 };
 
-/// A listening socket bound to an ephemeral 127.0.0.1 port.
+/// A listening socket bound to an ephemeral 127.0.0.1 port, plus a wake
+/// pipe polled beside it so another thread can end a blocked accept().
 class Listener {
  public:
   Listener();
@@ -89,12 +95,20 @@ class Listener {
   /// The kernel-assigned port clients connect_local() to.
   std::uint16_t port() const { return port_; }
 
-  /// Accepts one connection, waiting at most `timeout_ms`; nullopt on
-  /// timeout so accept loops can poll a stop flag between waits.
+  /// Accepts one connection, waiting at most `timeout_ms` (negative: no
+  /// bound). nullopt when the wait expires, when the peer vanished before
+  /// the accept, or — at once — when interrupt() has been called.
   std::optional<Socket> accept(int timeout_ms);
+
+  /// Makes a blocked accept(), and every later one, return nullopt at once.
+  /// Idempotent, and the one call that is safe from any thread while the
+  /// owner is inside accept().
+  void interrupt() noexcept;
 
  private:
   int fd_ = -1;
+  /// Self-pipe: interrupt() writes [1]; accept() polls [0], never drains it.
+  int wake_[2] = {-1, -1};
   std::uint16_t port_ = 0;
 };
 

@@ -28,7 +28,8 @@ void VivaldiNode::observe(const NetworkCoordinate& remote, double rtt_ms) {
 
 void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
   const double spatial_dist = coord_.position.distance_to(remote.position);
-  const double predicted = spatial_dist + (config_.use_height ? coord_.height + remote.height : 0.0);
+  const double predicted =
+      spatial_dist + (config_.use_height ? coord_.height + remote.height : 0.0);
 
   // Confidence weight: how much of the blame for the prediction error this
   // node takes, based on the two error estimates.
@@ -38,8 +39,9 @@ void VivaldiNode::vivaldi_step(const NetworkCoordinate& remote, double rtt_ms) {
 
   // Update the moving relative-error estimate.
   const double sample_error = std::abs(predicted - rtt_ms) / rtt_ms;
-  coord_.error = std::min(config_.max_error,
-                          sample_error * config_.ce * w + coord_.error * (1.0 - config_.ce * w));
+  coord_.error =
+      std::min(config_.max_error,
+               sample_error * config_.ce * w + coord_.error * (1.0 - config_.ce * w));
 
   // Spring force: positive when the prediction is too short (push apart).
   const double delta = config_.cc * w;

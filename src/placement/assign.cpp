@@ -25,8 +25,9 @@ Placement assign_centroids_to_candidates(const std::vector<Point>& centroids,
   // populations get first pick of the data centers.
   std::vector<std::size_t> order(centroids.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return priorities[a] > priorities[b]; });
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return priorities[a] > priorities[b];
+  });
 
   std::vector<bool> used(candidates.size(), false);
   std::vector<double> remaining_capacity(candidates.size());

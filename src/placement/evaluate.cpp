@@ -23,8 +23,8 @@ constexpr std::size_t kMinParallelClients = 2048;
 double quorum_latency(std::vector<double>& latencies, std::size_t quorum) {
   GEORED_ENSURE(quorum >= 1 && quorum <= latencies.size(),
                 "quorum must be within [1, #replicas]");
-  std::nth_element(latencies.begin(), latencies.begin() + static_cast<std::ptrdiff_t>(quorum - 1),
-                   latencies.end());
+  const auto nth = latencies.begin() + static_cast<std::ptrdiff_t>(quorum - 1);
+  std::nth_element(latencies.begin(), nth, latencies.end());
   return latencies[quorum - 1];
 }
 
@@ -131,7 +131,8 @@ double true_total_delay(const topo::Topology& topology, const Placement& placeme
             for (std::size_t r = 0; r < k; ++r) {
               latencies[r] = topology.rtt_ms(client.client, placement[r]);
             }
-            partial += quorum_latency(latencies, quorum) * static_cast<double>(client.access_count);
+            partial +=
+                quorum_latency(latencies, quorum) * static_cast<double>(client.access_count);
           }
         }
         return partial;
@@ -155,7 +156,9 @@ double estimated_total_delay(const Placement& placement,
   // placement entry.
   std::unordered_map<topo::NodeId, std::size_t> candidate_index;
   candidate_index.reserve(candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) candidate_index.emplace(candidates[c].node, c);
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    candidate_index.emplace(candidates[c].node, c);
+  }
 
   // Replica coordinates as one contiguous k×dim block for the distance
   // kernels below.

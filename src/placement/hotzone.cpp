@@ -69,7 +69,8 @@ Placement HotZonePlacement::place(const PlacementInput& input) const {
     centroids.push_back(center);
     priorities.push_back(mass);
   }
-  return assign_centroids_to_candidates(centroids, priorities, input.candidates, k, input.seed);
+  return assign_centroids_to_candidates(centroids, priorities, input.candidates, k,
+                                        input.seed);
 }
 
 }  // namespace geored::place

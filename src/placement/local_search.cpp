@@ -38,7 +38,9 @@ Placement LocalSearchPlacement::place(const PlacementInput& input) const {
 
   std::unordered_map<topo::NodeId, std::size_t> candidate_index;
   candidate_index.reserve(n_cand);
-  for (std::size_t c = 0; c < n_cand; ++c) candidate_index.emplace(input.candidates[c].node, c);
+  for (std::size_t c = 0; c < n_cand; ++c) {
+    candidate_index.emplace(input.candidates[c].node, c);
+  }
 
   std::vector<std::size_t> chosen;
   chosen.reserve(placement.size());

@@ -35,8 +35,11 @@ inline void print_row(double x, const std::vector<double>& values) {
   std::printf("\n");
 }
 
-inline void print_check(const std::string& description, bool passed) {
+/// Prints one `[PASS]`/`[FAIL]` shape check and returns `passed`, so a
+/// harness can fold its checks into its exit status.
+inline bool print_check(const std::string& description, bool passed) {
   std::printf("  [%s] %s\n", passed ? "PASS" : "FAIL", description.c_str());
+  return passed;
 }
 
 /// Shortest round-trippable decimal rendering of `v` (printf %.10g): the

@@ -132,7 +132,8 @@ double RequestRouter::complete(const RouteDecision& decision, double rtt_ms) {
 }
 
 // Observational: an unknown node reads as an empty queue by design.
-std::size_t RequestRouter::resident_at(topo::NodeId node, double now_ms) const {  // lint: no-ensure
+std::size_t RequestRouter::resident_at(topo::NodeId node,  // lint: no-ensure
+                                       double now_ms) const {
   const std::vector<topo::NodeId>& nodes = panel_.nodes();
   const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
   if (it == nodes.end() || *it != node) return 0;

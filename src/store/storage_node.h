@@ -28,8 +28,8 @@ class StorageNode {
   /// depend on the allocator — the determinism lint flags exactly this
   /// pattern (unordered iteration feeding an output path).
   template <typename GroupFn>
-  std::vector<std::pair<ObjectId, VersionedValue>> export_group(std::uint32_t group,
-                                                                const GroupFn& group_of) const {
+  std::vector<std::pair<ObjectId, VersionedValue>> export_group(
+      std::uint32_t group, const GroupFn& group_of) const {
     std::vector<std::pair<ObjectId, VersionedValue>> out;
     for (const auto& [id, value] : data_) {  // lint: unordered-iter-ok (sorted below)
       if (group_of(id) == group) out.emplace_back(id, value);
@@ -54,7 +54,9 @@ class StorageNode {
     std::size_t total = 0;
     // Order-insensitive reduction (a sum), so hash order cannot leak out.
     for (const auto& [id, value] : data_) {  // lint: unordered-iter-ok
-      if (group_of(id) == group) total += value.data.size() + sizeof(Version) + sizeof(ObjectId);
+      if (group_of(id) == group) {
+        total += value.data.size() + sizeof(Version) + sizeof(ObjectId);
+      }
     }
     return total;
   }

@@ -9,7 +9,9 @@ namespace geored::topo {
 
 Topology::Topology(std::vector<NodeInfo> nodes, SymMatrix rtt_ms,
                    std::vector<std::string> region_names)
-    : nodes_(std::move(nodes)), rtt_(std::move(rtt_ms)), region_names_(std::move(region_names)) {
+    : nodes_(std::move(nodes)),
+      rtt_(std::move(rtt_ms)),
+      region_names_(std::move(region_names)) {
   GEORED_ENSURE(nodes_.size() == rtt_.size(),
                 "node list and RTT matrix must have the same size");
 }

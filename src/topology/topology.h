@@ -28,7 +28,8 @@ struct NodeInfo {
 class Topology {
  public:
   Topology() = default;
-  Topology(std::vector<NodeInfo> nodes, SymMatrix rtt_ms, std::vector<std::string> region_names);
+  Topology(std::vector<NodeInfo> nodes, SymMatrix rtt_ms,
+           std::vector<std::string> region_names);
 
   std::size_t size() const { return nodes_.size(); }
 

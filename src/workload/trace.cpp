@@ -80,8 +80,8 @@ Trace::Stats Trace::stats() const {
   }
   stats.distinct_clients = clients.size();
   stats.distinct_objects = objects.size();
-  stats.write_fraction =
-      events_.empty() ? 0.0 : static_cast<double>(writes) / static_cast<double>(events_.size());
+  const auto events = static_cast<double>(events_.size());
+  stats.write_fraction = events_.empty() ? 0.0 : static_cast<double>(writes) / events;
   return stats;
 }
 

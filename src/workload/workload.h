@@ -62,7 +62,8 @@ class StaticWorkload final : public Workload {
 
 /// Equal mean rate for every client, with multiplicative lognormal spread.
 std::unique_ptr<StaticWorkload> make_uniform_workload(std::size_t clients, double mean_rate,
-                                                      double lognormal_sigma, std::uint64_t seed);
+                                                      double lognormal_sigma,
+                                                      std::uint64_t seed);
 
 /// Heavy-tailed client popularity: client rates follow a Zipf law with the
 /// given exponent, scaled so they sum to `total_rate`.

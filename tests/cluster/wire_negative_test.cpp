@@ -26,7 +26,8 @@ std::vector<std::uint8_t> good_frame(std::uint64_t seed) {
   config.max_clusters = 4;
   MicroClusterSummarizer summarizer(config);
   for (int i = 0; i < 50; ++i) {
-    summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)}, rng.uniform(0.0, 5.0));
+    summarizer.add(Point{rng.normal(0.0, 20.0), rng.normal(100.0, 20.0)},
+                   rng.uniform(0.0, 5.0));
   }
   ByteWriter writer;
   write_clusters(writer, summarizer.clusters());

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -235,6 +238,41 @@ TEST(Socket, DrainUntilClosedReturnsWhenPeerCloses) {
 TEST(Listener, AcceptTimesOutWithoutClients) {
   Listener listener;
   EXPECT_FALSE(listener.accept(20).has_value());
+}
+
+// The bound is generous on purpose: the wake is one pipe write, so any
+// return within seconds (not the 60 s accept budget) proves it happened.
+constexpr std::uint64_t kWakeBoundMs = 5000;
+
+TEST(Listener, InterruptWakesABlockedAcceptFromAnotherThread) {
+  Listener listener;
+  SystemClock clock;
+  std::atomic<bool> returned{false};
+  std::optional<Socket> accepted;
+  std::thread acceptor([&] {
+    accepted = listener.accept(60000);
+    returned.store(true);
+  });
+  clock.sleep_ms(50);  // let the acceptor reach its wait
+  EXPECT_FALSE(returned.load());
+  const std::uint64_t start = clock.now_ms();
+  listener.interrupt();
+  acceptor.join();
+  EXPECT_LE(clock.now_ms() - start, kWakeBoundMs);
+  EXPECT_FALSE(accepted.has_value());
+}
+
+TEST(Listener, AcceptAfterInterruptReturnsAtOnce) {
+  Listener listener;
+  SystemClock clock;
+  // A client already queued does not outrank the interrupt: stop means stop.
+  Socket client = connect_local(listener.port(), 1000);
+  listener.interrupt();
+  listener.interrupt();  // idempotent
+  const std::uint64_t start = clock.now_ms();
+  EXPECT_FALSE(listener.accept(60000).has_value());
+  EXPECT_FALSE(listener.accept(60000).has_value());  // and sticky
+  EXPECT_LE(clock.now_ms() - start, kWakeBoundMs);
 }
 
 }  // namespace

@@ -266,7 +266,8 @@ TEST(RpcCollector, ExhaustedRetriesFallBackToTheCachedEpoch) {
   config.max_attempts = 2;
   const FaultInjector oracle(config.faults);
 
-  const std::uint64_t clean_salt = find_clean_salt(oracle, sources.size(), config.max_attempts);
+  const std::uint64_t clean_salt =
+      find_clean_salt(oracle, sources.size(), config.max_attempts);
   const std::uint64_t failing_salt =
       find_failing_salt(oracle, sources.size(), config.max_attempts, clean_salt + 1);
 

@@ -130,16 +130,20 @@ TEST(ScenarioConfig, OutOfOrderEventsAreBadSchedule) {
 TEST(ScenarioConfig, OverlappingSameTargetWindowsAreBadSchedule) {
   expect_error(
       R"({"name": "t", "events": [
-           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 0, "end_ms": 60000, "factor": 2},
-           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 30000, "end_ms": 90000, "factor": 3}]})",
+           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 0, "end_ms": 60000,
+            "factor": 2},
+           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 30000, "end_ms": 90000,
+            "factor": 3}]})",
       ScenarioError::Kind::kBadSchedule, "events[1]");
 }
 
 TEST(ScenarioConfig, DisjointSameTargetWindowsAreAccepted) {
   const auto config = parse_scenario(
       R"({"name": "t", "events": [
-           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 0, "end_ms": 30000, "factor": 2},
-           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 30000, "end_ms": 60000, "factor": 3}]})");
+           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 0, "end_ms": 30000,
+            "factor": 2},
+           {"kind": "flash_crowd", "region": "eu-*", "start_ms": 30000, "end_ms": 60000,
+            "factor": 3}]})");
   EXPECT_EQ(config.events.size(), 2u);
 }
 

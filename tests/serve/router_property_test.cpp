@@ -206,7 +206,8 @@ void run_router_sweep(std::uint64_t seed) {
       queries.push_back(query);
     }
     std::vector<RouteDecision> batch_decisions(batch_size);
-    batch_router.route_batch(queries, nullptr, batch_size, nows.data(), batch_decisions.data());
+    batch_router.route_batch(queries, nullptr, batch_size, nows.data(),
+                             batch_decisions.data());
     for (std::size_t j = 0; j < batch_size; ++j) {
       const RouteDecision looped = loop_router.route(queries.row(j), nows[j]);
       expect_same_decision(batch_decisions[j], looped, j);

@@ -109,7 +109,8 @@ TEST(Network, JitterBandScalesWithTheConfiguredFraction) {
   Network network(simulator, topology, config);
   std::vector<double> deliveries;
   for (int i = 0; i < 500; ++i) {
-    network.send(0, 1, 10, TrafficClass::kAccess, [&] { deliveries.push_back(simulator.now()); });
+    network.send(0, 1, 10, TrafficClass::kAccess,
+                 [&] { deliveries.push_back(simulator.now()); });
   }
   simulator.run();
   ASSERT_EQ(deliveries.size(), 500u);

@@ -67,9 +67,9 @@ TEST(Replay, DrivesTheStoreEndToEnd) {
 
   const auto stats = trace.stats();
   // Every read in the trace completed; writes include the seeding pass.
-  EXPECT_EQ(report.reads,
-            trace.size() - static_cast<std::size_t>(
-                               stats.write_fraction * static_cast<double>(trace.size()) + 0.5));
+  const auto expected_writes = static_cast<std::size_t>(
+      stats.write_fraction * static_cast<double>(trace.size()) + 0.5);
+  EXPECT_EQ(report.reads, trace.size() - expected_writes);
   EXPECT_GE(report.writes, stats.distinct_objects);
   EXPECT_GT(report.get_mean_ms, 0.0);
   // Epoch ticks land every 60 s up to the trace's last event.

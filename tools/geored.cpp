@@ -52,8 +52,8 @@ topo::Topology topology_from_flags(const FlagParser& parser) {
   }
   topo::PlanetLabModelConfig config;
   config.node_count = static_cast<std::size_t>(parser.get_int("nodes"));
-  return topo::generate_planetlab_like(config,
-                                       static_cast<std::uint64_t>(parser.get_int("topology-seed")));
+  const auto seed = static_cast<std::uint64_t>(parser.get_int("topology-seed"));
+  return topo::generate_planetlab_like(config, seed);
 }
 
 core::CoordSystem coord_system_from_name(const std::string& name) {
@@ -140,8 +140,9 @@ int cmd_embed(const std::vector<std::string>& args) {
       coords = coord::run_gnp(topology, coord::GnpConfig{});
       break;
   }
+  const std::string report = coord::evaluate_embedding(topology, coords).to_string();
   std::printf("%s over %zu nodes:\n%s\n", parser.get_string("system").c_str(),
-              topology.size(), coord::evaluate_embedding(topology, coords).to_string().c_str());
+              topology.size(), report.c_str());
   return 0;
 }
 
@@ -156,8 +157,9 @@ int cmd_experiment(const std::vector<std::string>& args) {
   parser.add_int("m", 4, "micro-clusters per replica");
   parser.add_int("runs", 30, "independent runs");
   parser.add_int("quorum", 1, "replicas a client must reach");
-  parser.add_string("strategies", "random,offline,online,optimal",
-                    "comma-separated: random|offline|online|optimal|greedy|hotzone|local-search");
+  parser.add_string(
+      "strategies", "random,offline,online,optimal",
+      "comma-separated: random|offline|online|optimal|greedy|hotzone|local-search");
   parser.add_string("collector", "direct",
                     "summary collection path: direct|hierarchical|decentralized|rpc");
   parser.parse(args);
@@ -253,7 +255,8 @@ int cmd_replay(const std::vector<std::string>& args) {
 
   const auto topology = topology_from_flags(parser);
   const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
-  const auto coords = coord::run_rnp(topology, coord::RnpConfig{}, coord::GossipConfig{}, seed);
+  const auto coords =
+      coord::run_rnp(topology, coord::RnpConfig{}, coord::GossipConfig{}, seed);
 
   const auto dcs = static_cast<std::size_t>(parser.get_int("dcs"));
   if (dcs >= topology.size()) throw std::invalid_argument("--dcs must leave client nodes");

@@ -60,6 +60,12 @@ start threads.
                    (common/arena.h) or a reused buffer. Suppress (cold paths,
                    frozen scalar references, escaping results):
                    `// lint: alloc-ok`.
+  column-limit     [all trees] No line longer than .clang-format's
+                   ColumnLimit, over every tree CI's clang-format step
+                   formats (src reference tests bench examples tools), so
+                   the limit holds in tier-1 without a clang-format binary.
+                   `#include` lines are exempt (clang-format never breaks
+                   them).
 
 The pass is AST-aware over src/ when libclang's Python bindings are
 importable (it then classifies tokens by cursor kind, so declarations in
@@ -102,12 +108,26 @@ UNORDERED_DECL = re.compile(
 
 
 class FileLint:
-    """One file's text in raw (for suppressions) and stripped form."""
+    """One file's text in raw (for suppressions) and stripped form.
 
-    def __init__(self, rel: pathlib.Path, text: str, driver: bool):
+    `driver` marks bench/, examples/, reference/ and tools/geored.cpp;
+    `format_only` marks the rest of tests/ and tools/, which only the
+    all-trees rules (column-limit) cover.
+    """
+
+    def __init__(
+        self,
+        rel: pathlib.Path,
+        text: str,
+        driver: bool,
+        column_limit: int,
+        format_only: bool,
+    ):
         self.rel = rel
         self.posix = rel.as_posix()
         self.driver = driver
+        self.format_only = format_only
+        self.column_limit = column_limit
         self.text = text
         self.raw_lines = text.splitlines()
         self.lines = strip_comments_and_strings(text).splitlines()
@@ -127,6 +147,12 @@ class FileLint:
 def missing_pragma_once(lint: FileLint) -> Iterable[int]:
     if lint.rel.suffix == ".h" and "#pragma once" not in lint.text:
         yield 1
+
+
+def over_column_limit(lint: FileLint) -> Iterable[int]:
+    for lineno, line in enumerate(lint.raw_lines, 1):
+        if len(line) > lint.column_limit and not line.lstrip().startswith("#include"):
+            yield lineno
 
 
 # A range-for whose range expression names an unordered container: either the
@@ -205,12 +231,15 @@ class Rule:
     pattern: re.Pattern[str] | None = None  # searched in each stripped line
     find: Callable[[FileLint], Iterable[int]] | None = None  # or a whole-file finder
     drivers: bool = False  # also covers bench/, examples/, reference/, tools/geored.cpp
+    all_trees: bool = False  # covers every file clang-format formats, tests/ included
     allow: tuple[str, ...] = ()  # exempt path prefixes (a file path exempts itself)
     only: tuple[str, ...] = ()  # when set, the rule covers just these files
     suppress: str | None = None  # marker that waives a finding on its line
 
     def covers(self, lint: FileLint) -> bool:
-        if lint.driver and not self.drivers:
+        if self.all_trees:
+            return True
+        if lint.format_only or (lint.driver and not self.drivers):
             return False
         if self.only and lint.posix not in self.only:
             return False
@@ -348,6 +377,12 @@ RULES = (
         ),
         suppress="lint: alloc-ok",
     ),
+    Rule(
+        "column-limit",
+        "line exceeds .clang-format's ColumnLimit; wrap it as clang-format would",
+        find=over_column_limit,
+        all_trees=True,
+    ),
 )
 RULE = {rule.name: rule for rule in RULES}
 
@@ -454,8 +489,10 @@ def ast_lint_file(cindex, root: pathlib.Path, lint: FileLint, errors: list[str])
 # ---------------------------------------------------------------------------
 
 
-def collect_files(root: pathlib.Path) -> tuple[list[pathlib.Path], list[pathlib.Path]]:
-    """(library files under src/, driver files)."""
+def collect_files(
+    root: pathlib.Path,
+) -> tuple[list[pathlib.Path], list[pathlib.Path], list[pathlib.Path]]:
+    """(library files under src/, driver files, format-only files)."""
 
     def sources(tree: pathlib.Path) -> list[pathlib.Path]:
         return [p for p in sorted(tree.rglob("*")) if p.suffix in (".cpp", ".h")]
@@ -465,7 +502,19 @@ def collect_files(root: pathlib.Path) -> tuple[list[pathlib.Path], list[pathlib.
     cli = root / "tools" / "geored.cpp"
     if cli.is_file():
         drivers.append(cli)
-    return library, drivers
+    format_only = [
+        p for tree in ("tests", "tools") for p in sources(root / tree) if p != cli
+    ]
+    return library, drivers, format_only
+
+
+def read_column_limit(root: pathlib.Path) -> int | None:
+    """ColumnLimit from the repo's .clang-format, or None if absent."""
+    config = root / ".clang-format"
+    if not config.is_file():
+        return None
+    match = re.search(r"^ColumnLimit:\s*(\d+)\s*$", config.read_text(), re.MULTILINE)
+    return int(match.group(1)) if match else None
 
 
 def main() -> int:
@@ -474,11 +523,20 @@ def main() -> int:
     if not src.is_dir():
         print(f"error: {src} is not a directory", file=sys.stderr)
         return 2
-    library, drivers = collect_files(root)
+    library, drivers, format_only = collect_files(root)
     if not library:
         print(
             f"error: found no .cpp/.h files under {src} — an empty lint run "
             "would falsely read as a pass; check the path argument",
+            file=sys.stderr,
+        )
+        return 2
+
+    column_limit = read_column_limit(root)
+    if column_limit is None:
+        print(
+            f"error: {root / '.clang-format'} sets no ColumnLimit — the "
+            "column-limit rule would have nothing to enforce",
             file=sys.stderr,
         )
         return 2
@@ -489,10 +547,16 @@ def main() -> int:
     # The regex pass is authoritative for the exit status: the AST pass can
     # only ever add findings, never quietly pass what regex flags.
     errors: list[str] = []
-    for path, driver in [(p, False) for p in library] + [(p, True) for p in drivers]:
-        lint = FileLint(path.relative_to(root), path.read_text(encoding="utf-8"), driver)
+    scoped = (
+        [(p, False, False) for p in library]
+        + [(p, True, False) for p in drivers]
+        + [(p, False, True) for p in format_only]
+    )
+    for path, driver, only_format in scoped:
+        text = path.read_text(encoding="utf-8")
+        lint = FileLint(path.relative_to(root), text, driver, column_limit, only_format)
         regex_lint_file(lint, errors)
-        if cindex and not driver:
+        if cindex and not driver and not only_format:
             ast_lint_file(cindex, root, lint, errors)
 
     def location_key(error: str) -> tuple[str, int]:
