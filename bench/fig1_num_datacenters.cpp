@@ -71,9 +71,13 @@ int main() {
                                  last_online < first_online);
   all_pass &= bench::print_check("optimal improves with more data centers",
                                  last_optimal < first_optimal);
-  all_pass &= bench::print_check("online clustering near optimal at 20 DCs (within 35%)",
-                                 online_at_20 < 1.35 * optimal_at_20);
-  all_pass &= bench::print_check("online clustering >=25% below random at 20 DCs",
-                                 online_at_20 < 0.75 * random_at_20);
+  // Paper claim (Fig. 1, DESIGN.md E1): online and offline clustering are
+  // near-optimal. Measured: 6.6% above optimal at 20 DCs.
+  all_pass &= bench::print_check("online clustering near optimal at 20 DCs (within 15%)",
+                                 online_at_20 < 1.15 * optimal_at_20);
+  // Paper claim (Fig. 2, DESIGN.md E2): online is >=35% better than random
+  // at 20 DCs. Measured: 42.2% below random (46.12 vs 79.85 ms).
+  all_pass &= bench::print_check("online clustering >=35% below random at 20 DCs",
+                                 online_at_20 < 0.65 * random_at_20);
   return all_pass ? 0 : 1;
 }

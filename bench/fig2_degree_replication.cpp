@@ -56,17 +56,21 @@ int main() {
   const double late_gain = optimal_by_k[3] - optimal_by_k[6];    // k 4 -> 7
   all_pass &= bench::print_check("diminishing returns after ~4 replicas",
                                  late_gain < early_gain / 2.0);
+  // Paper claim (Fig. 2, DESIGN.md E2): online is >=35% better than random.
+  // The check keeps 25%: k=2 (30.9%) and k=7 (33.9%) miss 35% here.
   bool online_beats_random = true;
   for (std::size_t i = 1; i < online_by_k.size(); ++i) {  // paper states k>=2 margin
     online_beats_random &= online_by_k[i] < 0.75 * random_by_k[i];
   }
   all_pass &=
       bench::print_check("online >=25% below random for every k >= 2", online_beats_random);
+  // Paper claim (Fig. 2, DESIGN.md E2): online is slightly worse than
+  // optimal. Measured: at most 1.16x (k=4).
   bool online_near_optimal = true;
   for (std::size_t i = 0; i < online_by_k.size(); ++i) {
-    online_near_optimal &= online_by_k[i] < 1.5 * optimal_by_k[i];
+    online_near_optimal &= online_by_k[i] < 1.2 * optimal_by_k[i];
   }
   all_pass &=
-      bench::print_check("online within 1.5x of optimal for every k", online_near_optimal);
+      bench::print_check("online within 1.2x of optimal for every k", online_near_optimal);
   return all_pass ? 0 : 1;
 }

@@ -124,6 +124,9 @@ HierarchicalCollector::HierarchicalCollector(sim::Simulator& simulator, sim::Net
 
 CollectedSummaries HierarchicalCollector::collect(const std::vector<SummarySource>& sources,
                                                   const CollectionContext& context) {
+  GEORED_ENSURE(simulator_.pending_events() == 0,
+                "hierarchical collection runs the simulator to completion; it must hold "
+                "no other events");
   GEORED_ENSURE(!sources.empty(), "hierarchical collection needs at least one source");
   // A fresh tree per epoch: sources move with the placement, so yesterday's
   // aggregator assignment may be arbitrarily bad today.
@@ -181,6 +184,9 @@ DecentralizedCollector::DecentralizedCollector(sim::Simulator& simulator,
 
 CollectedSummaries DecentralizedCollector::collect(const std::vector<SummarySource>& sources,
                                                    const CollectionContext& context) {
+  GEORED_ENSURE(simulator_.pending_events() == 0,
+                "decentralized collection runs the simulator to completion; it must hold "
+                "no other events");
   GEORED_ENSURE(!context.candidates.empty(), "decentralized collection needs candidates");
   GEORED_ENSURE(!sources.empty(), "decentralized collection needs at least one source");
   // Once-per-epoch summary regrouping (~max_clusters x replicas entries),

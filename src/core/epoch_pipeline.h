@@ -124,6 +124,11 @@ AggregationPlan plan_aggregation(const std::vector<place::CandidateInfo>& candid
 /// simulator is run to completion, so afterwards simulator.now() is the
 /// moment the root had everything. The reported wire size is the root's
 /// inbound bytes — the bandwidth the tree exists to bound.
+///
+/// Precondition: `simulator` holds no pending events when collect() is
+/// called (a fresh or drained simulator). Running it to completion would
+/// otherwise run events the collector does not own, so collect() throws
+/// std::invalid_argument and leaves the queue untouched.
 class HierarchicalCollector final : public SummaryCollector {
  public:
   HierarchicalCollector(sim::Simulator& simulator, sim::Network& network, topo::NodeId root,
@@ -151,7 +156,9 @@ class HierarchicalCollector final : public SummaryCollector {
 ///
 /// The simulator is run to completion, so afterwards simulator.now() is the
 /// moment the last replica decided; the reported wire size is the total
-/// summary traffic exchanged.
+/// summary traffic exchanged. Same precondition as HierarchicalCollector:
+/// `simulator` must hold no pending events, or collect() throws
+/// std::invalid_argument without running any.
 class DecentralizedCollector final : public SummaryCollector {
  public:
   DecentralizedCollector(sim::Simulator& simulator, sim::Network& network);

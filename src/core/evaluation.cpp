@@ -142,38 +142,28 @@ std::vector<double> run_once(const Environment& env, const ExperimentConfig& con
     summarizers[r].add_batch(batches[r].coords, batches[r].weights);
   }
 
-  // Collect the per-replica summaries through the configured collection
-  // path. "direct" concatenates in source order — byte-identical to the
-  // historical manual flatten; the protocol collectors run over a per-run
-  // simulated network and merge along the way.
+  // Collect the per-replica summaries through the configured collector.
+  // "direct" concatenates in source order — byte-identical to the historical
+  // manual flatten. The protocol collectors run over this run's own idle
+  // simulated network; "rpc" stands up its own ephemeral-port server, so
+  // concurrent runs do not collide, and with one round per run a source
+  // that exhausts its retries has no cached summary and contributes nothing.
   std::vector<SummarySource> sources;
   sources.reserve(initial_placement.size());
   for (std::size_t r = 0; r < initial_placement.size(); ++r) {
     sources.push_back({initial_placement[r], summarizers[r].clusters()});
   }
-  std::vector<cluster::MicroCluster> summaries;
-  if (config.collector == "direct") {
-    summaries = DirectCollector().collect(sources, {candidates, k, seed}).summaries;
-  } else if (config.collector == "rpc") {
-    // Real sockets, no simulator. Each run stands up its own ephemeral-port
-    // server, so concurrent runs do not collide. Sources that exhaust their
-    // retries have no prior epoch to fall back to here (one round per run),
-    // so under heavy fault injection some sources simply contribute nothing.
-    CollectorConfig collector_config;
-    collector_config.rpc = config.rpc;
-    const auto collector = make_collector("rpc", collector_config);
-    summaries = collector->collect(sources, {candidates, k, seed}).summaries;
-  } else {
-    sim::Simulator simulator;
-    sim::Network network(simulator, topology);
-    CollectorConfig collector_config;
-    collector_config.simulator = &simulator;
-    collector_config.network = &network;
-    collector_config.aggregation_root = initial_placement.front();
-    summaries = make_collector(config.collector, collector_config)
-                    ->collect(sources, {candidates, k, seed})
-                    .summaries;
-  }
+  sim::Simulator simulator;
+  sim::Network network(simulator, topology);
+  CollectorConfig collector_config;
+  collector_config.simulator = &simulator;
+  collector_config.network = &network;
+  collector_config.aggregation_root = initial_placement.front();
+  collector_config.rpc = config.rpc;
+  const std::vector<cluster::MicroCluster> summaries =
+      make_collector(config.collector, collector_config)
+          ->collect(sources, {candidates, k, seed})
+          .summaries;
 
   // 4. Every strategy proposes from the information it may see; proposals
   //    are scored with the ground truth.

@@ -4,33 +4,10 @@
 #include <limits>
 #include <memory>
 
+#include "cluster/summarizer.h"
 #include "common/ensure.h"
-#include "common/serialize.h"
 
 namespace geored::core {
-
-namespace {
-
-/// The system's stage composition: the canonical pipeline with the
-/// collection stage swapped per SystemConfig::collector. The protocol
-/// collectors run over this system's simulator with the coordinator as the
-/// aggregation root; "rpc" needs neither.
-EpochPipeline system_pipeline(sim::Simulator& simulator, sim::Network& network,
-                              topo::NodeId coordinator, const SystemConfig& config) {
-  EpochPipeline pipeline = standard_pipeline(config.manager);
-  if (config.collector != "direct") {
-    CollectorConfig collector_config;
-    collector_config.simulator = &simulator;
-    collector_config.network = &network;
-    collector_config.aggregation_root = coordinator;
-    collector_config.rpc = config.rpc;
-    collector_config.rpc_clock = config.rpc_clock;
-    pipeline.collector = make_collector(config.collector, collector_config);
-  }
-  return pipeline;
-}
-
-}  // namespace
 
 ReplicationSystem::ReplicationSystem(sim::Simulator& simulator, sim::Network& network,
                                      std::vector<place::CandidateInfo> candidates,
@@ -47,8 +24,7 @@ ReplicationSystem::ReplicationSystem(sim::Simulator& simulator, sim::Network& ne
       coordinator_(coordinator),
       config_(config),
       rng_(seed),
-      manager_(candidates_, config.manager, seed,
-               system_pipeline(simulator, network, coordinator, config)) {
+      manager_(candidates_, config.manager, seed) {
   GEORED_ENSURE(clients_.size() == client_coords_.size(),
                 "one coordinate per client required");
   GEORED_ENSURE(clients_.size() == workload_.client_count(),
@@ -140,8 +116,9 @@ void ReplicationSystem::on_access(std::size_t client_index, double started_at) {
 
 void ReplicationSystem::run_epoch_at_coordinator() {
   // Collect summaries: one control request and one summary response per live
-  // replica, charged to the network. The placement computation itself runs
-  // when the last summary arrives.
+  // replica, charged to the network. This round is the epoch's only
+  // collection; the placement computation (the manager's direct pipeline)
+  // runs when the last summary arrives.
   std::vector<topo::NodeId> live;
   for (const auto node : manager_.placement()) {
     if (is_up(node)) live.push_back(node);
@@ -206,12 +183,8 @@ void ReplicationSystem::run_epoch_at_coordinator() {
     network_.send(coordinator_, node, config_.control_bytes, sim::TrafficClass::kControl,
                   [this, node, pending, finalize] {
                     // Reply with the serialized summary.
-                    ByteWriter writer;
-                    writer.write_u32(0);  // header
-                    for (const auto& micro : manager_.summary_of(node)) {
-                      micro.serialize(writer);
-                    }
-                    network_.send(node, coordinator_, writer.size(),
+                    network_.send(node, coordinator_,
+                                  cluster::serialized_size(manager_.summary_of(node)),
                                   sim::TrafficClass::kSummary, [pending, finalize] {
                                     if (--*pending == 0) finalize();
                                   });

@@ -10,9 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -37,13 +35,6 @@ struct SystemConfig {
   std::size_t control_bytes = 128;     ///< coordinator control messages
   std::size_t object_bytes = 1u << 30; ///< replica migration transfer size
   ReplicaSelection selection = ReplicaSelection::kByCoordinates;
-  /// Summary collection protocol for placement epochs — any
-  /// core::collector_names() entry. "hierarchical"/"decentralized" run over
-  /// this system's simulator; "rpc" ships real bytes over localhost sockets.
-  std::string collector = "direct";
-  /// Transport knobs consulted when collector == "rpc".
-  net::RpcCollectorConfig rpc;
-  std::shared_ptr<net::Clock> rpc_clock;
 };
 
 struct EpochMetrics {

@@ -104,6 +104,19 @@ TEST(Aggregation, PlanValidation) {
   EXPECT_THROW(plan_aggregation(world.candidates, {}, {}, 7), std::invalid_argument);
 }
 
+TEST(Aggregation, RefusesASimulatorWithForeignEvents) {
+  // collect() runs the simulator to completion, so an event it does not own
+  // would run inside the collection round; the collector refuses instead.
+  const AggWorld world(4, 4, 1);
+  sim::Simulator simulator;
+  sim::Network network(simulator, world.topology);
+  bool foreign_ran = false;
+  simulator.schedule_at(1.0, [&foreign_ran] { foreign_ran = true; });
+  EXPECT_THROW(world.collect_tree({}, simulator, network), std::invalid_argument);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  EXPECT_FALSE(foreign_ran);
+}
+
 TEST(Aggregation, TreeConservesAccessCounts) {
   const AggWorld world(8, 24, 3);
   sim::Simulator simulator;

@@ -143,5 +143,18 @@ TEST(Decentralized, ValidatesArguments) {
   EXPECT_THROW(collector.collect({}, {world.candidates, 2, 1}), std::invalid_argument);
 }
 
+TEST(Decentralized, RefusesASimulatorWithForeignEvents) {
+  // collect() runs the simulator to completion, so an event it does not own
+  // would run inside the collection round; the collector refuses instead.
+  DecWorld world(8, 3, 1);
+  sim::Simulator simulator;
+  sim::Network network(simulator, world.topology);
+  bool foreign_ran = false;
+  simulator.schedule_at(1.0, [&foreign_ran] { foreign_ran = true; });
+  EXPECT_THROW(world.collect(simulator, network, 2, 1), std::invalid_argument);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  EXPECT_FALSE(foreign_ran);
+}
+
 }  // namespace
 }  // namespace geored::core

@@ -79,8 +79,11 @@ TEST(System, RunsAndRecordsAccessDelays) {
   // Every traffic class except migration-if-stable was exercised.
   const auto& stats = network.stats();
   EXPECT_GT(stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kAccess)], 0u);
-  EXPECT_GT(stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)], 0u);
   EXPECT_GT(stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kControl)], 0u);
+  // One summary reply per live replica per epoch, each sized by
+  // cluster::serialized_size (u32 count + clusters): the exact total pins
+  // the wire-size rule.
+  EXPECT_EQ(stats.bytes[static_cast<std::size_t>(sim::TrafficClass::kSummary)], 2052u);
 }
 
 TEST(System, AccessDelayEqualsRttOfChosenReplica) {
@@ -97,15 +100,8 @@ TEST(System, AccessDelayEqualsRttOfChosenReplica) {
                            1);
   system.run(20'000.0);
   ASSERT_GT(system.overall_delay().count(), 0u);
-  // All three clients read from the single replica; delays in the RTT set.
-  for (const auto client : world.clients) {
-    const double rtt = world.topology.rtt_ms(client, world.candidates[0].node);
-    EXPECT_GE(system.overall_delay().max() + 1e-9, rtt * 0.0);  // sanity
-  }
-  EXPECT_GE(system.overall_delay().min(),
-            world.topology.rtt_ms(world.clients[0], world.candidates[0].node) * 0.0);
-  // Stronger: every observed delay equals one of the client RTTs.
-  // (min and max both members of the RTT set.)
+  // All three clients read from the single replica, so every observed delay
+  // is one of the client RTTs: min and max are the RTT set's extremes.
   std::vector<double> rtts;
   for (const auto client : world.clients) {
     rtts.push_back(world.topology.rtt_ms(client, world.candidates[0].node));
