@@ -3,15 +3,17 @@
 // Times each optimized kernel against the scalar implementation it replaced
 // (PointSet kernels vs Point loops, parallel evaluators vs the *_scalar
 // references, warm-start k-means vs a plain Point-based Lloyd, incremental
-// local search vs full re-evaluation, and the full epoch pipeline against
-// its unbatched form) at four scales up to a million clients, checks that
-// the outputs agree, and writes machine-readable results to a JSON file
-// (BENCH_perf.json by default; see docs/performance.md).
+// local search vs full re-evaluation, the fleet's demand curve against its
+// per-degree probe, and the full epoch pipeline against its unbatched form)
+// at four scales up to a million clients, checks that the outputs agree,
+// and writes machine-readable results to a JSON file (BENCH_perf.json by
+// default; see docs/performance.md).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -32,6 +34,7 @@
 #include "placement/evaluate.h"
 #include "placement/greedy.h"
 #include "placement/local_search.h"
+#include "reference/degree_curve_probe.h"
 #include "reference/evaluate_scalar.h"
 #include "reference/redistribute_scalar.h"
 #include "reference/router_scalar.h"
@@ -799,6 +802,53 @@ std::vector<CaseResult> run_scale(const Scale& scale, std::size_t repeats,
     });
     add_case("local_search", ms_base, ms_opt, static_cast<double>(naive.size()),
              static_cast<double>(incremental.size()), naive == incremental);
+  }
+
+  // --- Fleet demand curve: per-degree probe vs staged summaries ------------
+  // One group's delay-by-degree curve over degrees 1..7, the call
+  // FleetManager makes per group after every budgeted epoch. The group holds
+  // k replicas of 32-cluster summaries over a slice of the clients. The
+  // baseline is the frozen per-degree probe (a fresh PlacementInput and a
+  // nearest_up estimate loop per degree); the optimized arm is
+  // core::degree_curve (pseudo-points and centroids staged once, one
+  // nearest2_batch pass per degree). The curves must be bit-identical.
+  if (want("degree_curve")) {
+    constexpr std::size_t kCurveClusters = 32;
+    constexpr std::size_t kCurveAccessesPerReplica = 4000;
+    constexpr std::size_t kCurveCalls = 10;
+    constexpr std::uint64_t kCurveSeed = 0xc0de;
+    cluster::SummarizerConfig sconfig;
+    sconfig.max_clusters = kCurveClusters;
+    std::vector<cluster::MicroCluster> summaries;
+    for (std::size_t r = 0; r < scale.k; ++r) {
+      cluster::MicroClusterSummarizer summarizer(sconfig);
+      for (std::size_t i = 0; i < kCurveAccessesPerReplica; ++i) {
+        summarizer.add(world.client_points[(i * scale.k + r) % world.client_points.size()]);
+      }
+      summaries.insert(summaries.end(), summarizer.clusters().begin(),
+                       summarizer.clusters().end());
+    }
+    std::vector<double> base_curve, fast_curve;
+    ms_base = time_ms(repeats, [&] {
+      for (std::size_t i = 0; i < kCurveCalls; ++i) {
+        base_curve =
+            core::degree_curve_per_degree(world.candidates, summaries, kCurveSeed, 1, 7);
+        g_sink += base_curve.back();
+      }
+    });
+    ms_opt = time_ms(repeats, [&] {
+      for (std::size_t i = 0; i < kCurveCalls; ++i) {
+        fast_curve = core::degree_curve(world.candidates, summaries, kCurveSeed, 1, 7);
+        g_sink += fast_curve.back();
+      }
+    });
+    double base_total = 0.0, fast_total = 0.0;
+    for (const double value : base_curve) base_total += value;
+    for (const double value : fast_curve) fast_total += value;
+    const bool bitwise = base_curve.size() == fast_curve.size() &&
+                         std::memcmp(base_curve.data(), fast_curve.data(),
+                                     base_curve.size() * sizeof(double)) == 0;
+    add_case("degree_curve", ms_base, ms_opt, base_total, fast_total, bitwise);
   }
 
   // --- End-to-end epoch pipeline: frozen scalar stages vs production -------

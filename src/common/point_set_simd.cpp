@@ -444,6 +444,11 @@ __attribute__((target("avx2"))) void nearest2_batch_avx2(
     _mm256_storeu_pd(idxs, best_idx);
     for (int l = 0; l < 4; ++l) out_assign[j + l] = static_cast<std::size_t>(idxs[l]);
   }
+  // GCC emits no vzeroupper for this function (nor for
+  // assigned_distance_avx2 at -O2): without it the dirty upper YMM state
+  // leaks into the caller and SSE-encoded code slows down until something
+  // clears it. tools/check_vzeroupper.py guards every AVX function.
+  _mm256_zeroupper();
   nearest2_batch_tail(points, dim, indices, count, centroids, k, out_assign, out_best_sq,
                       out_second_sq, j);
 }
@@ -470,6 +475,7 @@ __attribute__((target("avx2"))) void assigned_distance_avx2(
     }
     _mm256_storeu_pd(out_dist_sq + j, acc);
   }
+  _mm256_zeroupper();  // as in nearest2_batch_avx2
   assigned_distance_tail(points, dim, indices, count, centroids, assign, out_dist_sq, j);
 }
 

@@ -6,6 +6,7 @@
 #include "common/ensure.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/epoch_trace.h"
 
 namespace geored::core {
 
@@ -86,6 +87,7 @@ FleetEpochReport FleetManager::run_epochs(const std::set<topo::NodeId>& excluded
   // demand curves. The curves read post-adoption summaries; the granted
   // degrees take effect at the next epoch via the degree-change rule.
   if (config_.replica_budget > 0) {
+    const StageTimer timer(report.allocate_ms);
     std::vector<GroupDemand> demands(groups_.size());
     parallel_for(groups_.size(), [&](std::size_t begin, std::size_t end) {
       for (std::size_t g = begin; g < end; ++g) {
@@ -142,7 +144,14 @@ void FleetManager::restore(ByteReader& reader) {
   GEORED_ENSURE(groups == groups_.size(),
                 "fleet checkpoint holds " + std::to_string(groups) +
                     " groups but this fleet has " + std::to_string(groups_.size()));
-  for (auto& group : groups_) group->restore(reader);
+  // Parse every group before committing any, so a blob that fails in its
+  // last group leaves the earlier groups untouched too.
+  std::vector<ReplicationManager::Checkpoint> checkpoints;
+  checkpoints.reserve(groups_.size());
+  for (const auto& group : groups_) checkpoints.push_back(group->parse_checkpoint(reader));
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    groups_[g]->commit_checkpoint(std::move(checkpoints[g]));
+  }
 }
 
 }  // namespace geored::core

@@ -64,6 +64,11 @@ struct FleetEpochReport {
   std::optional<Allocation> allocation;
   std::uint64_t total_accesses = 0;
   std::size_t groups_migrated = 0;
+  /// Wall time of the budget division: every group's delay-by-degree curve
+  /// plus allocate_replica_budget (0 without a budget). Observational only,
+  /// like EpochReport::stages: it varies run to run and nothing may branch
+  /// on it.
+  double allocate_ms = 0.0;
 };
 
 class FleetManager {
@@ -121,9 +126,11 @@ class FleetManager {
   void save(ByteWriter& writer) const;
 
   /// Restores a blob written by save(). The fleet must have been built with
-  /// the same candidates and configuration (the group count is validated);
-  /// bad magic, unknown versions, and mismatched group counts throw before
-  /// any group is touched.
+  /// the same candidates and configuration (the group count is validated).
+  /// All or nothing: every group's checkpoint is parsed and validated before
+  /// any group is changed, so a blob that throws anywhere (bad magic, an
+  /// unknown version, a mismatched group count, truncation or corruption
+  /// inside any group) leaves the whole fleet unchanged.
   void restore(ByteReader& reader);
 
  private:

@@ -37,6 +37,85 @@ serve::ReplicaPanel replica_panel(const std::vector<place::CandidateInfo>& candi
   return panel;
 }
 
+namespace {
+
+/// A summary set staged once for any number of delay estimates: the
+/// centroid and access count of every micro-cluster with accesses, in
+/// summary order.
+struct StagedSummaries {
+  PointSet centroids;
+  std::vector<double> counts;
+};
+
+StagedSummaries stage_summaries(const std::vector<cluster::MicroCluster>& summaries) {
+  StagedSummaries staged;
+  staged.counts.reserve(summaries.size());
+  for (const auto& micro : summaries) {
+    if (micro.count() == 0) continue;
+    staged.centroids.push_back(micro.centroid());
+    staged.counts.push_back(static_cast<double>(micro.count()));
+  }
+  return staged;
+}
+
+/// Per-access delay estimated from the summaries themselves: each
+/// micro-cluster's population is assumed to sit at its centroid and read
+/// from the nearest replica (in coordinate space); 0 with no accesses. One
+/// nearest2_batch pass answers every centroid, bit-identical to a
+/// nearest_up loop. sqrt is monotone and correctly rounded, so sqrt of the
+/// minimum squared distance equals the minimum of the sqrt distances bit
+/// for bit.
+double estimate_average_delay(const serve::ReplicaPanel& panel,
+                              const StagedSummaries& staged) {
+  const std::size_t n = staged.counts.size();
+  if (n == 0) return 0.0;
+  std::vector<std::size_t> nearest(n);
+  std::vector<double> best_sq(n), second_sq(n);
+  panel.nearest2_batch(staged.centroids, nullptr, n, nearest.data(), best_sq.data(),
+                       second_sq.data());
+  double total = 0.0, accesses = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += std::sqrt(best_sq[i]) * staged.counts[i];
+    accesses += staged.counts[i];
+  }
+  return total / accesses;
+}
+
+}  // namespace
+
+std::vector<double> degree_curve(const std::vector<place::CandidateInfo>& candidates,
+                                 const std::vector<cluster::MicroCluster>& summaries,
+                                 std::uint64_t seed, std::size_t min_degree,
+                                 std::size_t max_degree) {
+  GEORED_ENSURE(min_degree >= 1 && min_degree <= max_degree,
+                "degree bounds must satisfy 1 <= min <= max");
+  double weight = 0.0;
+  for (const auto& micro : summaries) weight += static_cast<double>(micro.count());
+  // A cold-start probe with the registry's default online-clustering
+  // configuration; the pseudo-points and the estimate's centroids are
+  // staged once for every degree.
+  const place::OnlineClusteringPlacement probe;
+  const std::vector<cluster::WeightedPoint> pseudo_points = probe.pseudo_points(summaries);
+  const StagedSummaries staged = stage_summaries(summaries);
+  std::vector<double> curve;
+  curve.reserve(max_degree - min_degree + 1);
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t k = min_degree; k <= max_degree; ++k) {
+    const place::Placement placement =
+        probe.place_points(pseudo_points, candidates, k, seed).placement;
+    const double per_access =
+        estimate_average_delay(replica_panel(candidates, placement), staged);
+    // More replicas can only help; clustering noise may say otherwise, so
+    // each level is floored by its predecessors — the allocator requires a
+    // non-increasing curve.
+    best = std::min(best, per_access);
+    // Scaled by summarized access weight: the budget allocator compares
+    // absolute delay totals across groups, and hot objects matter more.
+    curve.push_back(best * weight);
+  }
+  return curve;
+}
+
 ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candidates,
                                        ManagerConfig config, std::uint64_t seed)
     : ReplicationManager(std::move(candidates), config, seed, standard_pipeline(config)) {}
@@ -62,11 +141,7 @@ ReplicationManager::ReplicationManager(std::vector<place::CandidateInfo> candida
     ingest_shards_.push_back(std::make_unique<IngestShard>());
   }
 
-  place::PlacementInput input;
-  input.candidates = candidates_;
-  input.k = degree_;
-  input.seed = seed_;
-  placement_ = place::RandomPlacement().place(input);
+  placement_ = place::random_placement(candidates_, degree_, seed_);
   panel_ = replica_panel(candidates_, placement_);
   for (const auto node : placement_) {
     summarizers_.emplace(node, cluster::MicroClusterSummarizer(config_.summarizer));
@@ -219,25 +294,6 @@ const std::vector<cluster::MicroCluster>& ReplicationManager::summary_of(
   return it->second.clusters();
 }
 
-double ReplicationManager::estimate_average_delay(
-    const serve::ReplicaPanel& panel,
-    const std::vector<cluster::MicroCluster>& summaries) const {
-  // Per-access delay estimated from the summaries themselves: each
-  // micro-cluster's population is assumed to sit at its centroid and read
-  // from the nearest replica (in coordinate space). sqrt is monotone and
-  // correctly rounded, so sqrt of the minimum squared distance equals the
-  // minimum of the sqrt distances bit for bit.
-  double total = 0.0, accesses = 0.0;
-  for (const auto& micro : summaries) {
-    if (micro.count() == 0) continue;
-    double best_sq = std::numeric_limits<double>::infinity();
-    panel.nearest_up(micro.centroid().values().data(), &best_sq);
-    total += std::sqrt(best_sq) * static_cast<double>(micro.count());
-    accesses += static_cast<double>(micro.count());
-  }
-  return accesses > 0.0 ? total / accesses : 0.0;
-}
-
 void ReplicationManager::maybe_adjust_degree(std::uint64_t epoch_accesses) {
   if (!config_.dynamic_degree) return;
   const auto accesses = static_cast<double>(epoch_accesses);
@@ -265,42 +321,17 @@ void ReplicationManager::set_budget_weight(double weight) {
 
 std::vector<double> ReplicationManager::delay_by_degree_curve(std::size_t min_degree,
                                                               std::size_t max_degree) const {
-  GEORED_ENSURE(min_degree >= 1 && min_degree <= max_degree,
-                "degree bounds must satisfy 1 <= min <= max");
   flush_ingest();
   std::vector<cluster::MicroCluster> summaries;
-  double weight = 0.0;
   for (const auto& [node, summarizer] : summarizers_) {
-    for (const auto& micro : summarizer.clusters()) {
-      summaries.push_back(micro);
-      weight += static_cast<double>(micro.count());
-    }
+    summaries.insert(summaries.end(), summarizer.clusters().begin(),
+                     summarizer.clusters().end());
   }
-  // A cold-start probe of the registry's online-clustering strategy; the
-  // warm-start cache is left untouched so probing cannot perturb proposals.
-  const auto probe = place::make_strategy("online");
-  std::vector<double> curve;
-  curve.reserve(max_degree - min_degree + 1);
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = min_degree; k <= max_degree; ++k) {
-    place::PlacementInput input;
-    input.candidates = candidates_;
-    input.k = k;
-    input.summaries = summaries;
-    // A seed stream distinct from the epoch proposals', so the probe and
-    // the next run_epoch never correlate.
-    input.seed = seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_);
-    const double per_access =
-        estimate_average_delay(replica_panel(candidates_, probe->place(input)), summaries);
-    // More replicas can only help; clustering noise may say otherwise, so
-    // each level is floored by its predecessors — the allocator requires a
-    // non-increasing curve.
-    best = std::min(best, per_access);
-    // Scaled by summarized access weight: the budget allocator compares
-    // absolute delay totals across groups, and hot objects matter more.
-    curve.push_back(best * weight);
-  }
-  return curve;
+  // A cold start: the warm-start cache is left untouched so probing cannot
+  // perturb proposals. A seed stream distinct from the epoch proposals', so
+  // the probe and the next run_epoch never correlate.
+  return degree_curve(candidates_, summaries, seed_ ^ (0xd1b54a32d192ed03ULL + epoch_index_),
+                      min_degree, max_degree);
 }
 
 void ReplicationManager::save(ByteWriter& writer) const {
@@ -326,10 +357,11 @@ void ReplicationManager::save(ByteWriter& writer) const {
 }
 
 void ReplicationManager::restore(ByteReader& reader) {
-  // Drain staged accesses into the summarizers being replaced, matching the
-  // unbatched semantics where every recorded access had been ingested by
-  // the time restore ran.
-  flush_ingest();
+  commit_checkpoint(parse_checkpoint(reader));
+}
+
+ReplicationManager::Checkpoint ReplicationManager::parse_checkpoint(
+    ByteReader& reader) const {
   const std::uint32_t magic = reader.read_u32();
   GEORED_ENSURE(magic == kCheckpointMagic,
                 "not a replication-manager checkpoint (bad magic)");
@@ -338,55 +370,60 @@ void ReplicationManager::restore(ByteReader& reader) {
                 "unsupported checkpoint format version " + std::to_string(version) +
                     " (this build reads versions 1.." + std::to_string(kCheckpointVersion) +
                     ")");
-  const std::uint64_t epoch_index = reader.read_u64();
-  const std::uint64_t epoch_accesses = reader.read_u64();
-  const auto degree = static_cast<std::size_t>(reader.read_u64());
-  GEORED_ENSURE(degree >= 1, "corrupt checkpoint: zero degree");
+  Checkpoint checkpoint;
+  checkpoint.epoch_index = reader.read_u64();
+  checkpoint.epoch_accesses = reader.read_u64();
+  checkpoint.degree = static_cast<std::size_t>(reader.read_u64());
+  GEORED_ENSURE(checkpoint.degree >= 1, "corrupt checkpoint: zero degree");
   // v1 predates external budget state; restore the documented defaults
   // (no grant recorded, neutral weight).
-  bool budget_granted = false;
-  double budget_weight = 1.0;
   if (version >= 2) {
-    budget_granted = reader.read_u32() != 0;
-    budget_weight = reader.read_f64();
-    GEORED_ENSURE(std::isfinite(budget_weight) && budget_weight > 0.0,
+    checkpoint.budget_granted = reader.read_u32() != 0;
+    checkpoint.budget_weight = reader.read_f64();
+    GEORED_ENSURE(std::isfinite(checkpoint.budget_weight) && checkpoint.budget_weight > 0.0,
                   "corrupt checkpoint: budget weight must be positive and finite");
   }
   const std::uint32_t placement_size = reader.read_u32();
-  place::Placement placement;
-  placement.reserve(placement_size);
-  for (std::uint32_t i = 0; i < placement_size; ++i) placement.push_back(reader.read_u32());
-  // Throws for unknown or repeated nodes, before any state changes.
-  serve::ReplicaPanel panel = replica_panel(candidates_, placement);
-  std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
-  for (const auto node : placement) {
+  checkpoint.placement.reserve(placement_size);
+  for (std::uint32_t i = 0; i < placement_size; ++i) {
+    checkpoint.placement.push_back(reader.read_u32());
+  }
+  // Throws for unknown or repeated nodes.
+  checkpoint.panel = replica_panel(candidates_, checkpoint.placement);
+  for (const auto node : checkpoint.placement) {
     cluster::MicroClusterSummarizer summarizer(config_.summarizer);
     for (const auto& micro : cluster::MicroClusterSummarizer::deserialize_clusters(reader)) {
       summarizer.merge_cluster(micro);
     }
-    summarizers.emplace(node, std::move(summarizer));
+    checkpoint.summarizers.emplace(node, std::move(summarizer));
   }
   const std::uint32_t centroid_count = reader.read_u32();
-  std::vector<Point> centroids;
-  centroids.reserve(centroid_count);
+  checkpoint.warm_centroids.reserve(centroid_count);
   for (std::uint32_t i = 0; i < centroid_count; ++i) {
-    centroids.emplace_back(reader.read_f64_vector());
+    checkpoint.warm_centroids.emplace_back(reader.read_f64_vector());
   }
-  // All parsed and validated: commit. The restored access count lands in
-  // shard 0 (the sum across shards is the observable value; its split is
-  // staging layout, not state).
-  epoch_index_ = epoch_index;
+  return checkpoint;
+}
+
+void ReplicationManager::commit_checkpoint(Checkpoint checkpoint) {
+  // Drain staged accesses into the summarizers being replaced, matching the
+  // unbatched semantics where every recorded access had been ingested by
+  // the time restore ran.
+  flush_ingest();
+  // The restored access count lands in shard 0 (the sum across shards is
+  // the observable value; its split is staging layout, not state).
+  epoch_index_ = checkpoint.epoch_index;
   for (std::size_t s = 0; s < ingest_shards_.size(); ++s) {
     const MutexLock lock(ingest_shards_[s]->mutex);
-    ingest_shards_[s]->accesses = s == 0 ? epoch_accesses : 0;
+    ingest_shards_[s]->accesses = s == 0 ? checkpoint.epoch_accesses : 0;
   }
-  degree_ = degree;
-  budget_granted_ = budget_granted;
-  budget_weight_ = budget_weight;
-  placement_ = std::move(placement);
-  panel_ = std::move(panel);
-  summarizers_ = std::move(summarizers);
-  warm_centroids_ = std::move(centroids);
+  degree_ = checkpoint.degree;
+  budget_granted_ = checkpoint.budget_granted;
+  budget_weight_ = checkpoint.budget_weight;
+  placement_ = std::move(checkpoint.placement);
+  panel_ = std::move(checkpoint.panel);
+  summarizers_ = std::move(checkpoint.summarizers);
+  warm_centroids_ = std::move(checkpoint.warm_centroids);
 }
 
 EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded) {
@@ -466,9 +503,10 @@ EpochReport ReplicationManager::run_epoch(const std::set<topo::NodeId>& excluded
   // 4. Migration gate.
   {
     const StageTimer timer(report.stages.gate_ms);
-    report.old_estimated_delay_ms = estimate_average_delay(panel_, collected.summaries);
-    report.new_estimated_delay_ms = estimate_average_delay(
-        replica_panel(candidates_, report.proposed_placement), collected.summaries);
+    const StagedSummaries staged = stage_summaries(collected.summaries);
+    report.old_estimated_delay_ms = estimate_average_delay(panel_, staged);
+    report.new_estimated_delay_ms =
+        estimate_average_delay(replica_panel(candidates_, report.proposed_placement), staged);
     std::size_t moved = 0;
     for (const auto node : report.proposed_placement) {
       if (std::find(placement_.begin(), placement_.end(), node) == placement_.end()) ++moved;

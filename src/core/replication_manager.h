@@ -25,9 +25,9 @@
 // bit-reproducibility holds only for externally ordered streams); flushes
 // merge shards in node-id order, so observable summaries are byte-identical
 // at any thread count and any shard count. The *epoch and checkpoint* paths
-// — run_epoch / save / restore / summary_of / delay_by_degree_curve —
-// require exclusive access to the manager: they read and replace the
-// summarizers the record paths feed.
+// — run_epoch / save / restore / commit_checkpoint / summary_of /
+// delay_by_degree_curve — require exclusive access to the manager: they
+// read and replace the summarizers the record paths feed.
 #pragma once
 
 #include <cstdint>
@@ -140,6 +140,17 @@ EpochPipeline standard_pipeline(const ManagerConfig& config);
 serve::ReplicaPanel replica_panel(const std::vector<place::CandidateInfo>& candidates,
                                   const place::Placement& placement);
 
+/// Estimated delay per access of `summaries` at each degree in
+/// [min_degree, max_degree], scaled by their total access count: a
+/// cold-start online-clustering probe with the registry's defaults
+/// (make_strategy("online")) places each degree over `candidates` with
+/// `seed`, and each level is floored by the lower ones, so the curve is
+/// non-increasing. Bit-identical to building a PlacementInput per degree.
+std::vector<double> degree_curve(const std::vector<place::CandidateInfo>& candidates,
+                                 const std::vector<cluster::MicroCluster>& summaries,
+                                 std::uint64_t seed, std::size_t min_degree,
+                                 std::size_t max_degree);
+
 class ReplicationManager {
  public:
   /// `candidates` are the usable data centers (with coordinates); the
@@ -236,7 +247,9 @@ class ReplicationManager {
   /// Estimated summary-weighted delay per access for each degree in
   /// [min_degree, max_degree], scaled by the summarized access weight so
   /// hot objects weigh more — the demand curve allocate_replica_budget
-  /// consumes. Non-increasing by construction. Does not mutate any state.
+  /// consumes: degree_curve over every replica's summaries (ascending node
+  /// order) with a probe seed of its own per epoch. Non-increasing by
+  /// construction. Does not mutate any state.
   std::vector<double> delay_by_degree_curve(std::size_t min_degree,
                                             std::size_t max_degree) const;
 
@@ -252,6 +265,29 @@ class ReplicationManager {
   /// or an unknown format version, and placements referencing unknown
   /// candidates, throw and leave the manager unchanged.
   void restore(ByteReader& reader);
+
+  /// A checkpoint parsed and validated against this manager but not yet
+  /// applied. restore() is commit_checkpoint(parse_checkpoint(reader)); the
+  /// split lets FleetManager parse every group before committing any.
+  struct Checkpoint {
+    std::uint64_t epoch_index = 0;
+    std::uint64_t epoch_accesses = 0;
+    std::size_t degree = 1;
+    bool budget_granted = false;
+    double budget_weight = 1.0;
+    place::Placement placement;
+    serve::ReplicaPanel panel;
+    std::map<topo::NodeId, cluster::MicroClusterSummarizer> summarizers;
+    std::vector<Point> warm_centroids;
+  };
+
+  /// Reads and validates one save() blob; throws (as restore does) without
+  /// touching the manager.
+  Checkpoint parse_checkpoint(ByteReader& reader) const;
+
+  /// Replaces the manager's state with a parsed checkpoint; does not throw
+  /// for a checkpoint parse_checkpoint returned.
+  void commit_checkpoint(Checkpoint checkpoint);
 
  private:
   /// Staged accesses awaiting ingestion into one replica's summarizer. The
@@ -277,8 +313,6 @@ class ReplicationManager {
     std::uint64_t accesses GEORED_GUARDED_BY(mutex) = 0;
   };
 
-  double estimate_average_delay(const serve::ReplicaPanel& panel,
-                                const std::vector<cluster::MicroCluster>& summaries) const;
   void maybe_adjust_degree(std::uint64_t epoch_accesses);
   IngestShard& shard_of(topo::NodeId replica) const {
     return *ingest_shards_[replica % ingest_shards_.size()];

@@ -13,27 +13,36 @@ Placement OnlineClusteringPlacement::place(const PlacementInput& input) const {
 
 OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
     const PlacementInput& input) const {
-  GEORED_ENSURE(!input.candidates.empty(), "no candidate data centers");
+  return place_points(pseudo_points(input.summaries), input.candidates, input.k, input.seed);
+}
 
-  // Micro-clusters become weighted pseudo-points (Algorithm 1, line 2).
-  std::vector<cluster::WeightedPoint> pseudo_points;
-  pseudo_points.reserve(input.summaries.size());
-  for (const auto& micro : input.summaries) {
+std::vector<cluster::WeightedPoint> OnlineClusteringPlacement::pseudo_points(
+    const std::vector<cluster::MicroCluster>& summaries) const {
+  std::vector<cluster::WeightedPoint> points;
+  points.reserve(summaries.size());
+  for (const auto& micro : summaries) {
     if (micro.count() == 0) continue;
     const double weight = config_.weigh_by_data_volume
                               ? micro.weight()
                               : static_cast<double>(micro.count());
     if (weight <= 0.0) continue;
-    pseudo_points.push_back({micro.centroid(), weight});
+    points.push_back({micro.centroid(), weight});
   }
+  return points;
+}
+
+OnlineClusteringDetails OnlineClusteringPlacement::place_points(
+    const std::vector<cluster::WeightedPoint>& pseudo_points,
+    const std::vector<CandidateInfo>& candidates, std::size_t k, std::uint64_t seed) const {
+  GEORED_ENSURE(!candidates.empty(), "no candidate data centers");
   if (pseudo_points.empty()) {
     // First epoch: no usage summaries exist yet.
-    return {RandomPlacement().place(input), {}};
+    return {random_placement(candidates, k, seed), {}};
   }
 
   cluster::KMeansConfig config = config_.kmeans;
-  config.k = std::min(input.k, input.candidates.size());
-  Rng rng(input.seed);
+  config.k = std::min(k, candidates.size());
+  Rng rng(seed);
   auto result = cluster::weighted_kmeans(pseudo_points, config, rng);
 
   // Warm start: if the previous epoch's centroids explain today's data
@@ -54,9 +63,9 @@ OnlineClusteringDetails OnlineClusteringPlacement::place_detailed(
     mass[result.assignment[i]] += pseudo_points[i].weight;
   }
   OnlineClusteringDetails details;
-  details.placement = assign_centroids_to_candidates(result.centroids, mass,
-                                                     input.candidates, config.k, input.seed,
-                                                     config_.load_aware ? &mass : nullptr);
+  details.placement =
+      assign_centroids_to_candidates(result.centroids, mass, candidates, config.k, seed,
+                                     config_.load_aware ? &mass : nullptr);
   details.macro_centroids = std::move(result.centroids);
   return details;
 }

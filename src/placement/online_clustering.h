@@ -48,8 +48,24 @@ class OnlineClusteringPlacement final : public PlacementStrategy {
   std::string name() const override { return "online clustering"; }
   Placement place(const PlacementInput& input) const override;
 
-  /// As place(), also returning the winning macro-cluster centroids.
+  /// As place(), also returning the winning macro-cluster centroids:
+  /// place_points(pseudo_points(input.summaries), input.candidates,
+  /// input.k, input.seed).
   OnlineClusteringDetails place_detailed(const PlacementInput& input) const;
+
+  /// The summaries as weighted pseudo-points (Algorithm 1, line 2), in
+  /// summary order; clusters with no accesses (or no weight, under
+  /// weigh_by_data_volume) are dropped.
+  std::vector<cluster::WeightedPoint> pseudo_points(
+      const std::vector<cluster::MicroCluster>& summaries) const;
+
+  /// Macro-clusters `pseudo_points` into min(k, #candidates) sites. No
+  /// pseudo-points (no accesses summarized yet) falls back to a seeded
+  /// random choice with no centroids. Callers placing one summary set at
+  /// several degrees build the pseudo-points once and call this per k.
+  OnlineClusteringDetails place_points(
+      const std::vector<cluster::WeightedPoint>& pseudo_points,
+      const std::vector<CandidateInfo>& candidates, std::size_t k, std::uint64_t seed) const;
 
  private:
   OnlineClusteringConfig config_;

@@ -7,6 +7,11 @@
 
 namespace geored::place {
 
+/// min(k, #candidates) distinct candidates drawn uniformly with `seed`
+/// (candidates must be non-empty); RandomPlacement::place on those fields.
+Placement random_placement(const std::vector<CandidateInfo>& candidates, std::size_t k,
+                           std::uint64_t seed);
+
 class RandomPlacement final : public PlacementStrategy {
  public:
   std::string name() const override { return "random"; }

@@ -486,6 +486,7 @@ class Engine {
     row.mean_delay_ms = accesses_ > 0 ? delay_sum_ / static_cast<double>(accesses_) : 0.0;
     row.excluded.assign(excluded.begin(), excluded.end());
     row.groups_migrated = fleet_report.groups_migrated;
+    row.allocate_ms = fleet_report.allocate_ms;
 
     double objective_weighted = 0.0;
     double objective_accesses = 0.0;
@@ -611,6 +612,7 @@ std::string ScenarioResult::timings_jsonl() const {
     out += ",\"gate_ms\":" + format_double(row.stage_totals.gate_ms);
     out += ",\"adopt_ms\":" + format_double(row.stage_totals.adopt_ms);
     out += ",\"total_ms\":" + format_double(row.stage_totals.total_ms());
+    out += ",\"allocate_ms\":" + format_double(row.allocate_ms);
     out += "}\n";
   }
   return out;

@@ -66,6 +66,10 @@ struct EpochRow {
   /// Observational (varies run to run); rendered only by the optional
   /// timings sidecar, never by the deterministic jsonl()/table() outputs.
   core::EpochStageTrace stage_totals;
+  /// Wall time of the fleet's budget division after the group epochs
+  /// (FleetEpochReport::allocate_ms); observational, sidecar-only like
+  /// stage_totals and not part of its total_ms().
+  double allocate_ms = 0.0;
 };
 
 struct ScenarioResult {
@@ -80,7 +84,8 @@ struct ScenarioResult {
 
   /// Per-epoch stage-timing sidecar (one json object per line, trailing
   /// newline included): wall milliseconds each epoch spent in ingest-flush /
-  /// collect / propose / gate / adopt across the fleet. Deliberately a
+  /// collect / propose / gate / adopt across the fleet (total_ms sums those
+  /// five), then in the fleet's budget division (allocate_ms). Deliberately a
   /// separate stream from jsonl(): timings vary run to run, and the golden
   /// transcripts pin jsonl() byte for byte.
   std::string timings_jsonl() const;

@@ -19,6 +19,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "core/fleet_manager.h"
 #include "core/replication_manager.h"
@@ -177,6 +178,57 @@ TEST(FleetCheckpoint, RejectsGroupCountMismatch) {
   ByteReader reader(writer.bytes());
   EXPECT_THROW(three_groups.restore(reader), std::invalid_argument);
   EXPECT_EQ(three_groups.group(0).placement(), before);
+}
+
+std::vector<std::uint8_t> fleet_bytes(const FleetManager& fleet) {
+  ByteWriter writer;
+  fleet.save(writer);
+  return writer.bytes();
+}
+
+/// A budgeted 4-group fleet after `epochs` epochs of seed-dependent traffic.
+FleetManager trained_fleet(std::uint64_t seed, int epochs) {
+  FleetConfig config;
+  config.groups = 4;
+  config.manager = small_config(2);
+  config.replica_budget = 9;
+  config.min_degree = 1;
+  config.max_degree = 4;
+  FleetManager fleet(line_candidates(), config, seed);
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+      Rng rng(seed * 100 + 10 * g + static_cast<std::uint64_t>(epoch));
+      for (int i = 0; i < 60; ++i) {
+        const double center = 170.0 * static_cast<double>(g) + static_cast<double>(seed);
+        fleet.group(g).serve(Point{rng.normal(center, 40.0)});
+      }
+    }
+    fleet.run_epochs();
+  }
+  return fleet;
+}
+
+// A fleet restore is all or nothing: a blob cut short anywhere — inside the
+// envelope or inside any group, the last one included — throws and leaves
+// every group as it was. The budget scales the number of fleets swept.
+TEST(FleetCheckpointFuzzBudget, EveryTruncationLeavesTheFleetUnchanged) {
+  const std::uint64_t iters = env_count("GEORED_FUZZ_ITERS", 1);
+  for (std::uint64_t seed = 1; seed <= iters; ++seed) {
+    const std::vector<std::uint8_t> blob = fleet_bytes(trained_fleet(seed, 3));
+    FleetManager target = trained_fleet(seed + 1000, 2);
+    const std::vector<std::uint8_t> before = fleet_bytes(target);
+    ASSERT_NE(blob, before);
+    for (std::size_t length = 0; length < blob.size(); ++length) {
+      const std::vector<std::uint8_t> cut(blob.begin(),
+                                          blob.begin() + static_cast<std::ptrdiff_t>(length));
+      ByteReader reader(cut);
+      EXPECT_THROW(target.restore(reader), std::invalid_argument) << "length " << length;
+      ASSERT_EQ(fleet_bytes(target), before) << "seed " << seed << ", length " << length;
+    }
+    ByteReader whole(blob);
+    target.restore(whole);
+    EXPECT_EQ(fleet_bytes(target), blob);
+  }
 }
 
 }  // namespace

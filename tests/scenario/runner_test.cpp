@@ -64,7 +64,7 @@ TEST(ScenarioRunner, TimingsSidecarCoversEveryEpochAndStaysOutOfTranscript) {
     EXPECT_NE(line.find("\"epoch\":" + std::to_string(count)), std::string::npos) << line;
     for (const char* key : {"\"t_ms\":", "\"ingest_flush_ms\":", "\"collect_ms\":",
                             "\"propose_ms\":", "\"gate_ms\":", "\"adopt_ms\":",
-                            "\"total_ms\":"}) {
+                            "\"total_ms\":", "\"allocate_ms\":"}) {
       EXPECT_NE(line.find(key), std::string::npos) << line;
     }
     ++count;
@@ -73,6 +73,9 @@ TEST(ScenarioRunner, TimingsSidecarCoversEveryEpochAndStaysOutOfTranscript) {
   for (const auto& row : result.epochs) {
     EXPECT_GE(row.stage_totals.ingest_flush_ms, 0.0);
     EXPECT_GE(row.stage_totals.total_ms(), row.stage_totals.propose_ms);
+    // mini_smoke divides a replica budget every epoch: the curves and the
+    // allocator take measurable time, reported beside the five stages.
+    EXPECT_GT(row.allocate_ms, 0.0);
   }
   // The sidecar must never leak into the deterministic transcript: the
   // golden comparison above pins jsonl() bytes, and no stage key may appear.
